@@ -1,8 +1,8 @@
 """The campaign analysis platform: sweep specs, result store, reports.
 
 ``repro.perf.campaign`` knows how to *run* grids of experiment points
-(process pool + content-addressed cache); this package adds everything
-around a run that turns hundreds of algorithm×parameter campaigns into
+(process pool, with this package's store as the result cache); this
+package adds everything around a run that turns hundreds of algorithm×parameter campaigns into
 an explainable evaluation (docs/campaigns.md):
 
 * :mod:`repro.campaign.spec` — the declarative sweep-spec format: a
@@ -10,10 +10,10 @@ an explainable evaluation (docs/campaigns.md):
   over any experiment axis (segment size, cb_nodes, aggregation mode,
   delegate count, QoS policy, …), enumerated into
   :class:`repro.perf.points.Point` grids;
-* :mod:`repro.campaign.store` — the queryable on-disk result store: one
-  schema-versioned record per executed point, aggregating campaign
-  results, ``metrics.json`` documents and ``BENCH_*.json`` baselines
-  behind one query API;
+* :mod:`repro.campaign.store` — the queryable on-disk result store and
+  the campaign runner's cache: one schema-versioned record per executed
+  point, aggregating campaign results, ``metrics.json`` documents and
+  ``BENCH_*.json`` baselines behind one query API;
 * :mod:`repro.campaign.report` — deterministic report generation: ASCII
   and SVG scaling curves, comparison tables, and byte-identical
   regeneration of EXPERIMENTS.md sections from stored results;
@@ -22,7 +22,7 @@ an explainable evaluation (docs/campaigns.md):
   flat-vs-node aggregation crossover with a fraction of the exhaustive
   grid's point evaluations;
 * :mod:`repro.campaign.runner` — glue: run a sweep spec through the
-  perf pool/cache and land every result in the store.
+  perf pool runner and land every result in the store.
 
 ``python -m repro campaign`` is the CLI surface.
 """

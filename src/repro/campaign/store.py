@@ -1,12 +1,14 @@
 """The queryable on-disk result store behind campaign analysis.
 
 A store is a directory of schema-versioned JSON records — one per
-executed point — plus an ``index.json`` summary. Records arrive from
+executed point — plus an ``index.json`` summary. It is also the result
+cache of every campaign run: a point's record path is computed from
+(experiment, params, :func:`config_hash`), so :meth:`CampaignStore.get`
+answers "already simulated?" with one file open. Records arrive from
 three sources and meet behind one schema:
 
 * ``campaign`` — sweep/figure points, via :meth:`CampaignStore.add_result`
-  or wholesale :meth:`CampaignStore.ingest_cache` of a
-  :class:`repro.perf.cache.ResultCache` directory;
+  (the :class:`repro.perf.campaign.CampaignRunner` writes every miss);
 * ``hostbench`` — ``BENCH_*.json`` host-performance baselines
   (:meth:`CampaignStore.ingest_bench`);
 * ``metrics`` — ``*.metrics.json`` observability snapshots
@@ -23,6 +25,7 @@ renders a section from fresh simulations renders it from stored results.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -100,6 +103,28 @@ class Record:
         )
 
 
+def config_hash() -> str:
+    """Hash of the simulation configuration that determines results.
+
+    Covers the calibrated Lonestar preset (every per-event cost
+    constant, via the dataclass's fields) and both global scale factors.
+    Any calibration change yields a different hash, so campaign records
+    produced under another machine model are never served as hits.
+    """
+    from repro.cluster.lonestar import (
+        LONESTAR_SCALE,
+        LONESTAR_STRIPE_SCALE,
+        make_lonestar,
+    )
+
+    parts = [
+        f"scale={LONESTAR_SCALE}",
+        f"stripe_scale={LONESTAR_STRIPE_SCALE}",
+        repr(dataclasses.asdict(make_lonestar())),
+    ]
+    return hashlib.sha256("|".join(parts).encode()).hexdigest()[:16]
+
+
 def record_key(source: str, experiment: str, params: dict, config: str) -> str:
     """The content-addressed record id (identity, not provenance)."""
     body = json.dumps(
@@ -122,12 +147,16 @@ class CampaignStore:
     ----------
     root: store directory (created on first write). Defaults to
         ``$REPRO_STORE_DIR`` or ``.repro-store`` under the working dir.
+
+    ``config`` is the :func:`config_hash` every campaign record written
+    or looked up through this store is keyed under.
     """
 
     def __init__(self, root: "str | Path | None" = None):
         if root is None:
             root = os.environ.get("REPRO_STORE_DIR", DEFAULT_STORE_DIR)
         self.root = Path(root)
+        self.config = config_hash()
 
     @property
     def records_dir(self) -> Path:
@@ -150,69 +179,45 @@ class CampaignStore:
         self._write_index()
         return record
 
+    def key_for(self, point: Point) -> str:
+        """The record key of campaign *point* under this store's config."""
+        return record_key(
+            "campaign", point.experiment, dict(point.params), self.config
+        )
+
     def add_result(
-        self,
-        point: Point,
-        result: dict,
-        *,
-        source: str = "campaign",
-        config: str = "",
-        meta: Optional[dict] = None,
+        self, point: Point, result: dict, *, meta: Optional[dict] = None
     ) -> Record:
-        """Store one executed point's result dict."""
-        params = dict(point.params)
+        """Store one executed point's result dict (stamped with the config)."""
         return self.put(Record(
-            key=record_key(source, point.experiment, params, config),
-            source=source,
+            key=self.key_for(point),
+            source="campaign",
             experiment=point.experiment,
-            params=tuple(sorted(params.items())),
+            params=point.params,
             metrics=dict(result),
-            config=config,
+            config=self.config,
             meta=dict(meta or {}),
         ))
+
+    def get(self, point: Point) -> Optional[dict]:
+        """The stored result of campaign *point*, or ``None`` on a miss.
+
+        One file open at the point's record path. An unreadable or
+        truncated record (e.g. a killed writer) counts as a miss, and
+        the next :meth:`add_result` for the point overwrites it.
+        """
+        path = self.records_dir / f"{self.key_for(point)}.json"
+        try:
+            data = json.loads(path.read_text(encoding="utf-8"))
+            if data["schema"] == STORE_SCHEMA:
+                return dict(data["metrics"])
+        except (OSError, ValueError, KeyError, TypeError):
+            pass
+        return None
 
     # ------------------------------------------------------------------
     # ingestion
     # ------------------------------------------------------------------
-
-    def ingest_cache(self, cache_dir: "str | Path | None" = None) -> int:
-        """Import every readable entry of a perf result cache.
-
-        Entries are keyed like campaign results, carrying the cache's
-        config hash, so re-ingesting after a recalibration adds new
-        records instead of clobbering old evidence. Returns how many
-        records were imported.
-        """
-        from repro.perf.cache import DEFAULT_CACHE_DIR
-
-        if cache_dir is None:
-            cache_dir = os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
-        cache_dir = Path(cache_dir)
-        if not cache_dir.is_dir():
-            raise StoreError(f"no cache directory at {cache_dir}")
-        count = 0
-        for path in sorted(cache_dir.iterdir()):
-            if path.suffix != ".json":
-                continue
-            try:
-                entry = json.loads(path.read_text(encoding="utf-8"))
-                experiment = entry["experiment"]
-                params = dict(entry["params"])
-                result = dict(entry["result"])
-            except (OSError, ValueError, KeyError, TypeError):
-                continue  # truncated/foreign file: not part of the cache
-            config = str(entry.get("config", ""))
-            self.put(Record(
-                key=record_key("campaign", experiment, params, config),
-                source="campaign",
-                experiment=experiment,
-                params=tuple(sorted(params.items())),
-                metrics=result,
-                config=config,
-                meta={"from": path.name, **dict(entry.get("meta") or {})},
-            ))
-            count += 1
-        return count
 
     def ingest_bench(self, path: "str | Path") -> int:
         """Import one ``BENCH_*.json`` host-performance baseline.
@@ -343,12 +348,9 @@ class CampaignStore:
 
     def results_for(self, points: Iterable[Point]) -> dict:
         """Stored metrics for campaign *points*; raises listing any missing."""
-        by_identity: dict[tuple, dict] = {}
-        for record in self.query(source="campaign"):
-            by_identity[(record.experiment, record.params)] = record.metrics
         results, missing = {}, []
         for point in points:
-            found = by_identity.get((point.experiment, point.params))
+            found = self.get(point)
             if found is None:
                 missing.append(point.label())
             else:
@@ -356,7 +358,7 @@ class CampaignStore:
         if missing:
             raise StoreError(
                 "store is missing results for: " + ", ".join(missing)
-                + " (run the sweep first, or ingest the cache)"
+                + " (run the sweep first)"
             )
         return results
 

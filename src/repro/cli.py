@@ -29,15 +29,14 @@ Commands
 ``trace``     — rerun a scaled-down experiment with span tracing on and
                 write Chrome-trace + metrics JSON (see docs/observability.md).
 ``report``    — run the full campaign and write EXPERIMENTS.md
-                (``--jobs N`` fans the points across a process pool).
+                (``--jobs N`` fans the points across a process pool,
+                ``--store D`` serves and records them in a result store).
 ``perf``      — host-performance tools (see docs/performance.md):
                 ``perf profile`` runs a whole-simulation cProfile
-                (generator kernel: every rank on one thread),
-                ``perf bench`` runs the pinned regression gate,
-                ``perf campaign`` pre-runs/caches experiment points.
+                (generator kernel: every rank on one thread).
 ``campaign``  — campaign analysis platform (see docs/campaigns.md):
                 ``campaign run`` executes a declarative sweep spec,
-                ``campaign ingest`` imports caches/BENCH/metrics files
+                ``campaign ingest`` imports BENCH/metrics files
                 into the result store, ``campaign query`` filters stored
                 records, ``campaign report`` renders tables, charts and
                 EXPERIMENTS.md sections, ``campaign explore`` bisects a
@@ -452,10 +451,8 @@ def cmd_report(args) -> int:
         argv.append("--smoke")
     if args.jobs is not None:
         argv += ["--jobs", str(args.jobs)]
-    if args.cache_dir is not None:
-        argv += ["--cache-dir", args.cache_dir]
-    if args.no_cache:
-        argv.append("--no-cache")
+    if args.store is not None:
+        argv += ["--store", args.store]
     return report.main(argv)
 
 
@@ -472,52 +469,6 @@ def cmd_perf_profile(args) -> int:
         limit=args.limit,
         out=args.out,
     )
-    return 0
-
-
-def cmd_perf_bench(args) -> int:
-    """Run the pinned host-performance gate; compare against a baseline."""
-    from repro.perf import hostbench
-
-    report = hostbench.run_hostbench(
-        names=args.points or None,
-        repeat=args.repeat,
-        fresh_process=not args.in_process,
-    )
-    if args.out:
-        hostbench.write_report(report, args.out)
-        print(f"wrote {args.out}")
-    if args.baseline:
-        baseline = hostbench.load_report(args.baseline)
-        problems = hostbench.compare_reports(
-            baseline, report, tolerance=args.tolerance
-        )
-        if problems:
-            for problem in problems:
-                print(f"REGRESSION: {problem}")
-            return 1
-        print(f"no regressions vs {args.baseline} "
-              f"(tolerance {args.tolerance:.0%})")
-    return 0
-
-
-def cmd_perf_campaign(args) -> int:
-    """Run (and cache) experiment point grids through the pool runner."""
-    from repro.perf.cache import ResultCache
-    from repro.perf.campaign import CampaignRunner
-    from repro.perf.points import EXPERIMENTS, all_points
-
-    experiments = (
-        tuple(args.experiments.split(",")) if args.experiments else EXPERIMENTS
-    )
-    unknown = [e for e in experiments if e not in EXPERIMENTS]
-    if unknown:
-        print(f"unknown experiments: {unknown} (choose from {list(EXPERIMENTS)})")
-        return 2
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    jobs = None if args.jobs in (None, 0) else args.jobs
-    runner = CampaignRunner(jobs, cache=cache, verbose=True)
-    runner.run(all_points(_scale_arg(args), experiments))
     return 0
 
 
@@ -559,15 +510,8 @@ def cmd_campaign_run(args) -> int:
 
     spec = load_spec(args.spec)
     store = CampaignStore(args.store)
-    cache = None
-    if not args.no_cache and (args.jobs is not None or args.cache_dir):
-        from repro.perf.cache import ResultCache
-
-        cache = ResultCache(args.cache_dir)
-    jobs = None if args.jobs in (None, 0) else args.jobs
-    results = run_sweep(
-        spec, store=store, jobs=jobs, cache=cache, verbose=True
-    )
+    jobs = 1 if args.jobs is None else (args.jobs or None)  # 0: one per CPU
+    results = run_sweep(spec, store=store, jobs=jobs, verbose=True)
     print(
         f"sweep '{spec.name}': ran {len(results)} {spec.experiment} "
         f"point(s); store {store.root} now holds {len(store)} record(s)"
@@ -577,15 +521,15 @@ def cmd_campaign_run(args) -> int:
 
 @_campaign_errors
 def cmd_campaign_ingest(args) -> int:
-    """Import caches, BENCH baselines and metrics files into the store."""
+    """Import BENCH baselines and metrics files into the store."""
     from repro.campaign import CampaignStore
 
+    if not (args.bench or args.metrics):
+        print("error: nothing to ingest (pass --bench and/or --metrics)",
+              file=sys.stderr)
+        return 1
     store = CampaignStore(args.store)
     total = 0
-    if args.cache_dir or not (args.bench or args.metrics):
-        count = store.ingest_cache(args.cache_dir)
-        print(f"ingested {count} cache entr(ies)")
-        total += count
     for path in args.bench or []:
         count = store.ingest_bench(path)
         print(f"ingested {count} hostbench point(s) from {path}")
@@ -681,13 +625,8 @@ def _smoke_report(args) -> str:
 
     from repro.campaign import scaling_report, smoke_store, store_svg_chart
 
-    cache = None
-    if not args.no_cache:
-        from repro.perf.cache import ResultCache
-
-        cache = ResultCache(args.cache_dir)
     with tempfile.TemporaryDirectory() as tmp:
-        store = smoke_store(args.store or f"{tmp}/store", cache=cache)
+        store = smoke_store(args.store or f"{tmp}/store")
         table = scaling_report(
             store, "fig5", x="method", y="write_throughput",
             title="smoke sweep: fig5 write throughput by method",
@@ -707,17 +646,13 @@ def _smoke_report(args) -> str:
 def cmd_campaign_explore(args) -> int:
     """Adaptively locate the flat-vs-node aggregation crossover."""
     from repro.campaign import CampaignStore, aggregation_crossover
+    from repro.perf.campaign import CampaignRunner
 
     runner = None
-    if args.cache_dir:
-        from repro.perf.cache import ResultCache
-        from repro.perf.campaign import CampaignRunner
-
-        runner = CampaignRunner(1, cache=ResultCache(args.cache_dir))
-    store = CampaignStore(args.store) if args.store else None
+    if args.store:
+        runner = CampaignRunner(1, store=CampaignStore(args.store))
     kwargs = dict(
-        method=args.search, collective=args.collective,
-        runner=runner, store=store,
+        method=args.search, collective=args.collective, runner=runner
     )
     if args.candidates:
         candidates = tuple(int(c) for c in args.candidates.split(","))
@@ -956,8 +891,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=None, metavar="N",
         help="fan points across N worker processes (0 = one per CPU)",
     )
-    p.add_argument("--cache-dir", default=None, help="result cache directory")
-    p.add_argument("--no-cache", action="store_true", help="disable the cache")
+    p.add_argument(
+        "--store", default=None, help="result store serving/recording points"
+    )
     p.set_defaults(fn=cmd_report)
 
     p = sub.add_parser("perf", help="host-performance tools (docs/performance.md)")
@@ -978,48 +914,6 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--out", default=None, help="dump raw pstats here")
     pp.set_defaults(fn=cmd_perf_profile)
 
-    pb = perf_sub.add_parser(
-        "bench", help="pinned host-perf gate -> BENCH_*.json (+ comparison)"
-    )
-    pb.add_argument("--out", default=None, help="write the report JSON here")
-    pb.add_argument(
-        "--baseline", default=None,
-        help="compare against this committed BENCH_*.json; exit 1 on regression",
-    )
-    pb.add_argument(
-        "--tolerance", type=float, default=0.25,
-        help="relative wall-clock slack vs the baseline (default 0.25)",
-    )
-    pb.add_argument(
-        "--repeat", type=int, default=1, help="keep the fastest of N runs"
-    )
-    pb.add_argument(
-        "--in-process", action="store_true",
-        help="measure in this process (no spawn; RSS covers the parent)",
-    )
-    pb.add_argument(
-        "--points", nargs="*", default=None, help="subset of pinned point names"
-    )
-    pb.set_defaults(fn=cmd_perf_bench)
-
-    pc = perf_sub.add_parser(
-        "campaign", help="run/cache experiment point grids via the pool runner"
-    )
-    pc.add_argument("--smoke", action="store_true", help="tiny grids")
-    from repro.perf.points import EXPERIMENTS
-
-    pc.add_argument(
-        "--experiments", default=None,
-        help=f"comma-separated subset of {','.join(EXPERIMENTS)}",
-    )
-    pc.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes (default/0: one per CPU)",
-    )
-    pc.add_argument("--cache-dir", default=None, help="result cache directory")
-    pc.add_argument("--no-cache", action="store_true", help="disable the cache")
-    pc.set_defaults(fn=cmd_perf_campaign)
-
     p = sub.add_parser(
         "campaign",
         help="campaign analysis platform: sweeps, store, reports, explorer "
@@ -1036,19 +930,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=int, default=None, metavar="N",
         help="worker processes (default: serial; 0 = one per CPU)",
     )
-    cr.add_argument("--cache-dir", default=None, help="result cache directory")
-    cr.add_argument("--no-cache", action="store_true", help="disable the cache")
     cr.set_defaults(fn=cmd_campaign_run)
 
     ci = camp_sub.add_parser(
-        "ingest", help="import caches / BENCH_*.json / metrics.json files"
+        "ingest", help="import BENCH_*.json / metrics.json files"
     )
     ci.add_argument("--store", default=None, help="result store directory")
-    ci.add_argument(
-        "--cache-dir", default=None,
-        help="perf result cache to import (default cache when no sources "
-             "are given)",
-    )
     ci.add_argument(
         "--bench", action="append", default=None, metavar="FILE",
         help="a BENCH_*.json host baseline to import (repeatable)",
@@ -1113,15 +1000,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cp.add_argument("--svg", default=None, metavar="FILE", help="also write an SVG chart")
     cp.add_argument("--log-y", action="store_true", help="log-scale y axis")
-    cp.add_argument("--cache-dir", default=None, help="result cache directory (--smoke)")
-    cp.add_argument("--no-cache", action="store_true", help="disable the cache (--smoke)")
     cp.set_defaults(fn=cmd_campaign_report)
 
     ce = camp_sub.add_parser(
         "explore",
         help="adaptively bisect the flat-vs-node aggregation crossover",
     )
-    ce.add_argument("--store", default=None, help="record evaluated pairs here")
+    ce.add_argument(
+        "--store", default=None,
+        help="record evaluated pairs here (and serve repeats from it)",
+    )
     ce.add_argument(
         "--search", choices=("bisect", "grid"), default="bisect",
         help="adaptive bisection or the exhaustive baseline",
@@ -1134,7 +1022,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--candidates", default=None, metavar="P1,P2,...",
         help="ordered process-count axis (default 8,12,16,24,32,48,64,96)",
     )
-    ce.add_argument("--cache-dir", default=None, help="result cache directory")
     ce.set_defaults(fn=cmd_campaign_explore)
     return parser
 

@@ -8,7 +8,7 @@ or figure), each a pure function of (scale, runner) returning its markdown
 block. :func:`generate_report` stitches them together; the campaign
 platform (:mod:`repro.campaign.report`) calls the same builders with a
 store-backed runner to regenerate individual sections byte-identically
-from cached results.
+from stored results.
 """
 
 from __future__ import annotations
@@ -192,7 +192,7 @@ def generate_report(
 
     *runner* (default: serial in-process) executes every figure's point
     grid; pass a :class:`repro.perf.campaign.CampaignRunner` to fan the
-    points across a process pool and reuse cached results — the output
+    points across a process pool and reuse stored results — the output
     is byte-identical either way (simulated time does not depend on host
     execution order).
     """
@@ -207,13 +207,13 @@ def generate_report(
         f"(simulation host time)."
     )
     jobs = getattr(runner, "jobs", None)
-    cache = getattr(runner, "cache", None)
+    store = getattr(runner, "store", None)
     if jobs is not None:
         footer += f" Runner: {jobs} worker process(es)"
-        if cache is not None:
-            footer += f"; cache {cache.hits} hit(s), {cache.misses} miss(es)"
+        if store is not None:
+            footer += f"; cache {runner.hits} hit(s), {runner.misses} miss(es)"
         footer += "."
-        if cache is not None:
+        if store is not None:
             footer += (
                 " A warm-cache rerun regenerates this file in under a"
                 " second."
@@ -235,23 +235,21 @@ def main(argv: list[str] | None = None) -> int:
         "0 = one worker per CPU)",
     )
     parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="on-disk result cache directory (default: .repro-cache when "
-        "--jobs is given; no caching otherwise)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true", help="disable the result cache"
+        "--store", default=None, metavar="DIR",
+        help="result store serving and recording points (default: "
+        ".repro-store when --jobs is given; none otherwise)",
     )
     args = parser.parse_args(argv)
     scale = SMOKE if args.smoke else FULL
     runner = None
-    if args.jobs is not None or args.cache_dir is not None:
-        from repro.perf.cache import ResultCache
+    if args.jobs is not None or args.store is not None:
+        from repro.campaign.store import CampaignStore
         from repro.perf.campaign import CampaignRunner
 
-        cache = None if args.no_cache else ResultCache(args.cache_dir)
         jobs = None if args.jobs in (None, 0) else args.jobs
-        runner = CampaignRunner(jobs, cache=cache, verbose=True)
+        runner = CampaignRunner(
+            jobs, store=CampaignStore(args.store), verbose=True
+        )
     body = generate_report(scale, runner=runner)
     Path(args.output).write_text(body)
     print(f"wrote {args.output}")

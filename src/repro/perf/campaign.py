@@ -1,13 +1,15 @@
-"""The parallel campaign runner: points -> pool -> cached results.
+"""The parallel campaign runner: points -> store hits + pool -> results.
 
 Every campaign point is an independent deterministic job (its simulated
 time depends only on its own parameters), so host-level parallelism is
-free of ordering hazards: :class:`CampaignRunner` fans cache misses
-across a ``multiprocessing`` pool and reassembles results keyed by
-point, and the figure assemblers consume them in grid order. A worker
-computes *exactly* what the serial path computes — the differential
-tests assert identical simulated times, throughputs and output-byte
-hashes across serial, pooled and cache-warm executions.
+free of ordering hazards: :class:`CampaignRunner` looks every point up
+in a :class:`repro.campaign.store.CampaignStore`, fans the misses
+across a ``multiprocessing`` pool, records each fresh result in the
+store and reassembles results keyed by point; the figure assemblers
+consume them in grid order. A worker computes *exactly* what the serial
+path computes — the differential tests assert identical simulated
+times, throughputs and output-byte hashes across serial, pooled and
+store-warm executions.
 
 Workers use the ``spawn`` start method: a fresh interpreter per worker
 costs a few hundred milliseconds once, but never inherits engine threads
@@ -20,13 +22,15 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from typing import Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
 
-from repro.perf.cache import ResultCache
 from repro.perf.points import Point, run_point, run_spec
 
+if TYPE_CHECKING:
+    from repro.campaign.store import CampaignStore
+
 #: A runner maps points to their result dicts (the figure assemblers'
-#: only dependency — serial, pooled and cached runners are swappable).
+#: only dependency — serial, pooled and store-backed runners are swappable).
 Runner = Callable[[Sequence[Point]], dict]
 
 
@@ -43,26 +47,34 @@ def _worker(spec: dict) -> tuple[dict, dict, float]:
 
 
 class CampaignRunner:
-    """Runs campaign points through a process pool with a result cache.
+    """Runs campaign points through a process pool, cached by a store.
 
     Parameters
     ----------
     jobs: worker processes (default: the host's CPU count). ``1`` runs
-        in-process (no pool) but still uses the cache.
-    cache: a bound :class:`ResultCache`, or ``None`` to disable caching.
+        in-process (no pool) but still uses the store.
+    store: a :class:`repro.campaign.store.CampaignStore` serving hits
+        and recording every miss, or ``None`` to run everything.
+    meta: provenance attached to every record this runner writes.
     verbose: print one line per completed point plus a summary.
+
+    ``hits`` / ``misses`` count store lookups over the runner's life.
     """
 
     def __init__(
         self,
         jobs: Optional[int] = None,
         *,
-        cache: Optional[ResultCache] = None,
+        store: "Optional[CampaignStore]" = None,
+        meta: Optional[dict] = None,
         verbose: bool = False,
     ):
         self.jobs = max(1, jobs if jobs is not None else (os.cpu_count() or 1))
-        self.cache = cache
+        self.store = store
+        self.meta = dict(meta or {})
         self.verbose = verbose
+        self.hits = 0
+        self.misses = 0
         self.host_seconds = 0.0  # wall-clock of the last run() call
 
     # ------------------------------------------------------------------
@@ -70,17 +82,20 @@ class CampaignRunner:
         return self.run(points)
 
     def run(self, points: Sequence[Point]) -> dict:
-        """All results for *points* (cache hits + fresh pool runs)."""
+        """All results for *points* (store hits + fresh pool runs)."""
         t0 = time.perf_counter()
         results: dict[Point, dict] = {}
         misses: list[Point] = []
         for point in points:
-            cached = self.cache.get(point) if self.cache is not None else None
-            if cached is not None:
-                results[point] = cached
-                self._log(f"cached  {point.label()}")
+            stored = self.store.get(point) if self.store is not None else None
+            if stored is not None:
+                results[point] = stored
+                self._log(f"stored  {point.label()}")
             else:
                 misses.append(point)
+        if self.store is not None:
+            self.hits += len(points) - len(misses)
+            self.misses += len(misses)
         if misses:
             if self.jobs == 1 or len(misses) == 1:
                 self._run_serial(misses, results)
@@ -89,7 +104,7 @@ class CampaignRunner:
         self.host_seconds = time.perf_counter() - t0
         self._log(
             f"campaign: {len(points)} points "
-            f"({len(points) - len(misses)} cached, {len(misses)} run) "
+            f"({len(points) - len(misses)} stored, {len(misses)} run) "
             f"in {self.host_seconds:.1f} s host wall-clock "
             f"[jobs={self.jobs}]"
         )
@@ -101,7 +116,7 @@ class CampaignRunner:
             t0 = time.perf_counter()
             result = run_point(point)
             host = time.perf_counter() - t0
-            self._store(point, result, host)
+            self._record(point, result, host)
             results[point] = result
 
     def _run_pool(self, misses: Sequence[Point], results: dict) -> None:
@@ -118,12 +133,14 @@ class CampaignRunner:
         with ctx.Pool(processes=workers) as pool:
             for spec, result, host in pool.imap_unordered(_worker, specs):
                 point = Point.from_spec(spec)
-                self._store(point, result, host)
+                self._record(point, result, host)
                 results[point] = result
 
-    def _store(self, point: Point, result: dict, host: float) -> None:
-        if self.cache is not None:
-            self.cache.put(point, result, host_seconds=host)
+    def _record(self, point: Point, result: dict, host: float) -> None:
+        if self.store is not None:
+            self.store.add_result(
+                point, result, meta={**self.meta, "host_seconds": host}
+            )
         self._log(f"ran     {point.label()}  [{host:.1f}s host]")
 
     def _log(self, message: str) -> None:

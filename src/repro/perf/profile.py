@@ -3,9 +3,7 @@
 Rank programs are generator coroutines resumed inline by the engine
 loop, so the whole simulation — scheduler and every rank program — runs
 on the calling thread. One ``cProfile.Profile`` around the run therefore
-sees everything; there is no per-thread collection step any more (the
-thread-kernel era needed :func:`set_thread_hook` to catch rank threads,
-which is now a deprecated no-op).
+sees everything; there is no per-thread collection step.
 
 This is the tool the hot-path optimization pass is guided by — see
 docs/performance.md for a worked example.

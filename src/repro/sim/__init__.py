@@ -15,10 +15,6 @@ Stable public API (see docs/architecture.md for the migration guide):
 * :class:`SimContext` / :func:`context` — the facade handed to rank
   programs that bundles clock + time primitives;
 * :func:`run_coroutine` — bridge for maybe-blocking thunks.
-
-``current_engine()`` / ``current_process()`` / ``set_thread_hook()`` are
-deprecated shims from the thread-per-rank era and emit
-``DeprecationWarning``.
 """
 
 from repro.sim.api import SimContext, context, context_or_none, run_coroutine
@@ -28,11 +24,9 @@ from repro.sim.engine import (
     active_engine,
     active_process,
     active_process_or_none,
-    current_engine,
-    current_process,
     events_executed_total,
 )
-from repro.sim.process import SimProcess, set_thread_hook
+from repro.sim.process import SimProcess
 from repro.sim.sync import SimEvent, SimSemaphore, SimBarrier, SimMutex
 from repro.sim.trace import TraceRecorder, Counter
 
@@ -52,9 +46,6 @@ __all__ = [
     "active_process_or_none",
     "context",
     "context_or_none",
-    "current_engine",
-    "current_process",
     "events_executed_total",
     "run_coroutine",
-    "set_thread_hook",
 ]

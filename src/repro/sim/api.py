@@ -2,9 +2,7 @@
 
 Rank programs are generator coroutines. Code that needs the simulation
 context (clock, sleep/charge/settle, spawn) should either receive a
-:class:`SimContext` explicitly or fetch one with :func:`context` — the
-documented accessor that replaces the deprecated thread-local era
-``current_engine()`` / ``current_process()`` pair.
+:class:`SimContext` explicitly or fetch one with :func:`context`.
 
 Coroutine conventions
 ---------------------

@@ -32,7 +32,6 @@ engines contribute their current count on demand.
 from __future__ import annotations
 
 import heapq
-import warnings
 import weakref
 from typing import Callable, Iterable, Optional, Sequence, TYPE_CHECKING
 
@@ -88,28 +87,6 @@ def active_process_or_none() -> "Optional[SimProcess]":
 def active_engine() -> "Engine":
     """The engine owning the currently executing simulated process."""
     return active_process().engine
-
-
-def current_engine() -> "Engine":
-    """Deprecated alias of :func:`active_engine` (thread-local era API)."""
-    warnings.warn(
-        "current_engine() is deprecated; use repro.sim.active_engine() "
-        "or the SimContext passed to the rank program",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return active_engine()
-
-
-def current_process() -> "SimProcess":
-    """Deprecated alias of :func:`active_process` (thread-local era API)."""
-    warnings.warn(
-        "current_process() is deprecated; use repro.sim.active_process() "
-        "or the SimContext passed to the rank program",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return active_process()
 
 
 class ProcessCrashed(BaseException):

@@ -15,7 +15,6 @@ point.
 
 from __future__ import annotations
 
-import warnings
 from types import GeneratorType
 from typing import Any, Callable, Optional
 
@@ -25,22 +24,6 @@ from repro.util.errors import SimulationError
 # Re-exported: the crash signal lives beside the engine but is raised
 # through processes, so both import paths are natural.
 ProcessCrashed = _engine_mod.ProcessCrashed
-
-
-def set_thread_hook(hook: Optional[Callable[["SimProcess"], Any]]) -> None:
-    """Deprecated no-op (thread-per-rank era).
-
-    The generator kernel runs every rank coroutine on the caller's
-    thread, so per-rank thread hooks are meaningless: profile the engine
-    loop directly (see ``repro.perf.profile``).
-    """
-    warnings.warn(
-        "set_thread_hook() is deprecated and has no effect: the generator "
-        "kernel runs all ranks on one thread — profile the engine loop "
-        "directly",
-        DeprecationWarning,
-        stacklevel=2,
-    )
 
 
 class SimProcess:

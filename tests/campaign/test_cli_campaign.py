@@ -68,11 +68,11 @@ class TestCampaignCli:
 
     def test_report_smoke_is_bit_deterministic(self, tmp_path, capsys):
         out1, out2 = tmp_path / "r1.txt", tmp_path / "r2.txt"
-        cache = str(tmp_path / "cache")
+        store = str(tmp_path / "store")
         for out in (out1, out2):
             assert main([
                 "campaign", "report", "--smoke",
-                "--cache-dir", cache, "--out", str(out),
+                "--store", store, "--out", str(out),
             ]) == 0
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
@@ -85,20 +85,14 @@ class TestCampaignCli:
         from repro.experiments.report import build_section
         from repro.perf.points import points_for
 
-        store = str(tmp_path / "store")
-        # warm a cache with the fig5 SMOKE grid, then ingest it
-        from repro.perf.cache import ResultCache
+        from repro.campaign.store import CampaignStore
         from repro.perf.campaign import CampaignRunner
 
-        cache_dir = tmp_path / "cache"
-        CampaignRunner(1, cache=ResultCache(cache_dir)).run(
+        # fill a store with the fig5 SMOKE grid, then replay from it
+        store = str(tmp_path / "store")
+        CampaignRunner(1, store=CampaignStore(store)).run(
             points_for("fig5", SMOKE)
         )
-        assert main([
-            "campaign", "ingest", "--store", store,
-            "--cache-dir", str(cache_dir),
-        ]) == 0
-        capsys.readouterr()
         assert main([
             "campaign", "report", "--store", store,
             "--section", "fig5", "--scale", "smoke",
@@ -131,13 +125,8 @@ class TestCampaignCli:
 
     def test_ingest_nothing_fails(self, tmp_path, capsys):
         store = str(tmp_path / "store")
-        empty_cache = tmp_path / "cache"
-        empty_cache.mkdir()
-        assert main([
-            "campaign", "ingest", "--store", store,
-            "--cache-dir", str(empty_cache),
-        ]) == 1
-        capsys.readouterr()
+        assert main(["campaign", "ingest", "--store", store]) == 1
+        assert "nothing to ingest" in capsys.readouterr().err
 
     def test_report_without_mode_exits(self, tmp_path):
         with pytest.raises(SystemExit):

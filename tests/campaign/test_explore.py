@@ -110,11 +110,13 @@ class TestAggregationCrossover:
 
     def test_store_records_every_evaluated_pair(self, tmp_path, reports):
         from repro.campaign.store import CampaignStore
+        from repro.perf.campaign import CampaignRunner
 
         bisect, _ = reports
         store = CampaignStore(tmp_path)
         report = aggregation_crossover(
-            candidates=AGGREGATION_CANDIDATES[:4], method="grid", store=store
+            candidates=AGGREGATION_CANDIDATES[:4], method="grid",
+            runner=CampaignRunner(1, store=store),
         )
         assert len(store) == 2 * report.evaluations  # a flat+node pair each
         flat = store.query("topo", where={"aggregation": "flat"})

@@ -7,7 +7,6 @@ import pytest
 from repro.campaign.runner import run_sweep, smoke_spec, smoke_store
 from repro.campaign.spec import grid
 from repro.campaign.store import CampaignStore
-from repro.perf.cache import ResultCache
 from repro.perf.points import Point, run_point
 
 
@@ -33,11 +32,13 @@ class TestRunSweep:
             len_array=[64],
         )
         serial = run_sweep(spec)
-        cache = ResultCache(tmp_path / "cache")
-        cold = run_sweep(spec, cache=cache, jobs=1)
-        warm = run_sweep(spec, cache=cache, jobs=1)
+        store = CampaignStore(tmp_path / "store")
+        cold = run_sweep(spec, store=store)
+        (record,) = store.records()
+        warm = run_sweep(spec, store=store)
         assert cold == serial == warm
-        assert cache.hits >= 1
+        # the warm sweep was served from the store: nothing rewritten
+        assert store.records()[0].meta == record.meta
 
     def test_smoke_store_builds_two_points(self, tmp_path):
         store = smoke_store(tmp_path / "store")

@@ -1,4 +1,8 @@
-"""Result store: ingestion from every source, queries, the store runner."""
+"""Result store: ingestion from every source, queries, the store runner.
+
+Its role as the campaign runner's cache is covered by
+``tests/perf/test_cache.py``.
+"""
 
 from __future__ import annotations
 
@@ -13,7 +17,6 @@ from repro.campaign.store import (
     StoreRunner,
 )
 from repro.experiments.common import resolve_points
-from repro.perf.cache import ResultCache
 from repro.perf.points import Point
 
 
@@ -87,22 +90,29 @@ class TestAddAndQuery:
         assert len(store.records()) == 6
 
 
+class TestOneRecordPerPoint:
+    def test_serial_then_pooled_sweep_is_one_record_per_point(self, tmp_path):
+        # Regression: serial and pooled sweeps used to stamp different
+        # config hashes, so one point landed as two records.
+        from repro.campaign.runner import run_sweep, smoke_spec
+
+        spec = smoke_spec()
+        points = spec.points()
+        store = CampaignStore(tmp_path / "shared")
+        serial = run_sweep(spec, store=store)
+        pooled_store = CampaignStore(tmp_path / "pooled")
+        assert run_sweep(spec, store=pooled_store, jobs=2) == serial
+        assert run_sweep(spec, store=store, jobs=2) == serial
+        assert len(store) == store.summary()["records"] == len(points)
+        assert [r.key for r in store.records()] == [
+            r.key for r in pooled_store.records()
+        ]
+        assert store.distinct("method") == ["OCIO", "TCIO"]
+        xs, _ = store.series("method", "write_throughput", experiment="fig5")
+        assert len(xs) == len(set(xs)) == len(points)
+
+
 class TestIngestion:
-    def test_ingest_cache(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
-        point = Point.make("fig5", method="TCIO", nprocs=4, len_array=64)
-        cache.put(point, _fake_result(5.0), host_seconds=0.1)
-        store = CampaignStore(tmp_path / "store")
-        assert store.ingest_cache(tmp_path / "cache") == 1
-        record = store.query("fig5")[0]
-        assert record.metrics["write_throughput"] == 5.0
-        assert record.config  # carries the cache's config hash
-        assert record.meta["host_seconds"] == 0.1
-
-    def test_ingest_cache_missing_dir_raises(self, tmp_path):
-        with pytest.raises(StoreError, match="no cache directory"):
-            CampaignStore(tmp_path).ingest_cache(tmp_path / "nope")
-
     def test_ingest_bench(self, tmp_path):
         bench = tmp_path / "BENCH_9.json"
         bench.write_text(json.dumps({

@@ -13,7 +13,6 @@ import argparse
 import re
 
 import repro.cli as cli
-from repro.perf.points import EXPERIMENTS
 
 
 def _subparser_actions(parser: argparse.ArgumentParser):
@@ -53,17 +52,28 @@ class TestDocstringParserSync:
                     f"docstring misses ``{group} {name}``"
                 )
 
-    def test_perf_campaign_experiments_help_lists_every_experiment(self):
-        commands = top_level_commands()
-        (perf_sub,) = _subparser_actions(commands["perf"])
-        campaign = perf_sub.choices["campaign"]
-        (option,) = [
-            a for a in campaign._actions if "--experiments" in a.option_strings
-        ]
-        for experiment in EXPERIMENTS:
-            assert experiment in (option.help or ""), (
-                f"perf campaign --experiments help misses {experiment!r}"
-            )
+    def test_no_result_cache_surface(self):
+        # the campaign store is the only result store: no command, flag
+        # or help text offers a separate result cache
+        def walk(parser):
+            for action in parser._actions:
+                yield action
+                if isinstance(action, argparse._SubParsersAction):
+                    for child in action.choices.values():
+                        yield from walk(child)
+
+        for action in walk(cli.build_parser()):
+            for text in (*action.option_strings, action.help or ""):
+                assert "cache" not in text.lower(), text
+
+    def test_retired_perf_commands_do_not_parse(self, capsys):
+        import pytest
+
+        for argv in (["perf", "bench"], ["perf", "campaign", "--smoke"]):
+            with pytest.raises(SystemExit) as excinfo:
+                cli.build_parser().parse_args(argv)
+            assert excinfo.value.code == 2
+        capsys.readouterr()
 
     def test_tenancy_and_ioserver_present(self):
         # the PR-6..8 subsystems must stay on the documented surface

@@ -35,7 +35,7 @@ from repro.sim.engine import active_process
 from repro.simmpi import collectives
 from repro.simmpi.datatypes import BYTE, Datatype
 from repro.simmpi.mpi import RankEnv
-from repro.tcio.level1 import Level1Buffer, PendingRead, ReadLog
+from repro.tcio.level1 import Level1Buffer, ReadLog
 from repro.tcio.level2 import Level2Buffer, SegmentDirectory
 from repro.tcio.mapping import SegmentMapping
 from repro.tcio.params import TcioConfig
@@ -67,7 +67,7 @@ Buffer = Union[bytes, bytearray, memoryview, np.ndarray]
 
 def _as_payload(data: Buffer, count: Optional[int], datatype: Datatype) -> bytes:
     if isinstance(data, np.ndarray):
-        raw = np.ascontiguousarray(data).tobytes()
+        raw = data.tobytes()  # C-order bytes, contiguous or not
     else:
         raw = bytes(data)
     if count is not None:
@@ -138,7 +138,11 @@ class TcioFile:
         self.mode = mode
         self.config = config
         self.comm = (comm if comm is not None else env.comm).dup()
-        self.stats = TcioStats()
+        #: Per-call counters as plain ints: published to the stats registry
+        #: at flush/fetch/close/abort and pulled by every stats read.
+        self.write_calls = self.written_bytes = 0
+        self.read_calls = self.read_bytes = 0
+        self.stats = TcioStats(pull=self._publish_counts)
         self._closed = False
         self._position = 0
         hub = getattr(env.world, "trace", None)
@@ -225,7 +229,9 @@ class TcioFile:
             ]
 
             self.level1 = Level1Buffer(segment_size)
-            self.readlog = ReadLog(segment_size * config.read_window_segments)
+            self.readlog = ReadLog(
+                segment_size, segment_size * config.read_window_segments
+            )
             self.level2 = yield from Level2Buffer.create(
                 self.comm,
                 self.mapping,
@@ -322,15 +328,21 @@ class TcioFile:
     def write_at(self, offset: int, data: Buffer, count: Optional[int] = None,
                  datatype: Datatype = BYTE):
         """Write at an explicit byte offset (coroutine; pointer unmoved)."""
-        self._check_open(writing=True)
-        payload = _as_payload(data, count, datatype)
+        if self._closed or self.mode != TCIO_WRONLY:
+            self._check_open(writing=True)
+        if offset < 0:
+            raise TcioError(f"negative file offset {offset}")
+        if count is None and type(data) is np.ndarray:
+            payload = data.tobytes()  # what _as_payload makes of it
+        else:
+            payload = _as_payload(data, count, datatype)
         if not payload:
             return 0
         length = len(payload)
         self._charge_memcpy(length)
-        # Inlined mapping.locate: the same segment-boundary walk without a
-        # BlockLocation allocation per piece — write_at is the simulator's
-        # single hottest entry point (one call per application block).
+        # The segment-boundary walk of equations (1)-(3), inline: write_at
+        # is the simulator's single hottest entry point (one call per
+        # application block).
         level1 = self.level1
         seg_size = self.mapping.segment_size
         pos = 0
@@ -352,9 +364,9 @@ class TcioFile:
             cur += take
         if end > self.directory.eof:
             self.directory.eof = end
-        self.stats.inc("write_calls")
-        self.stats.inc("written_bytes", len(payload))
-        return len(payload)
+        self.write_calls += 1
+        self.written_bytes += length
+        return length
 
     def _flush_level1(self):
         if self.level1.empty:
@@ -618,22 +630,46 @@ class TcioFile:
     def read_at(self, offset: int, dest: Buffer, count: Optional[int] = None,
                 datatype: Datatype = BYTE):
         """Record a read at an explicit offset into *dest* (coroutine)."""
-        self._check_open(reading=True)
-        view = _as_dest(dest)
-        nbytes = len(view) if count is None else count * datatype.size
-        if nbytes > len(view):
-            raise TcioError(f"read target of {len(view)} bytes < {nbytes} requested")
+        if self._closed or self.mode != TCIO_RDONLY:
+            self._check_open(reading=True)
+        if offset < 0:
+            raise TcioError(f"negative file offset {offset}")
+        if (
+            type(dest) is memoryview
+            and dest.format == "B"
+            and dest.ndim == 1
+            and dest.c_contiguous
+            and not dest.readonly
+        ):
+            view = dest  # already what _as_dest would cast it to
+        else:
+            view = _as_dest(dest)
+        nbytes = len(view)
+        if count is not None:
+            nbytes = count * datatype.size
+            if nbytes > len(view):
+                raise TcioError(
+                    f"read target of {len(view)} bytes < {nbytes} requested"
+                )
+            if nbytes < 0:
+                raise TcioError(f"negative read count {count}")
+            if nbytes < len(view):
+                view = view[:nbytes]
         if nbytes == 0:
             return 0
-        if self.readlog.overflows_with(offset, nbytes):
+        log = self.readlog
+        end = offset + nbytes
+        if log.requests and (
+            (end if end > log.hi else log.hi)
+            - (offset if offset < log.lo else log.lo)
+            > log.window
+        ):
             # "...either the file domain of cached reads exceeds the size
             # of the level-1 buffer, or the application explicitly requests"
             yield from self.fetch()
-        self.readlog.record(
-            PendingRead(dest=view, dest_offset=0, file_offset=offset, length=nbytes)
-        )
-        self.stats.inc("read_calls")
-        self.stats.inc("read_bytes", nbytes)
+        log.record(offset, nbytes, view)
+        self.read_calls += 1
+        self.read_bytes += nbytes
         if not self.config.lazy_reads:
             yield from self.fetch()
         return nbytes
@@ -649,27 +685,18 @@ class TcioFile:
     def fetch(self):
         """tcio_fetch: satisfy every recorded read (coroutine)."""
         self._check_open(reading=True)
-        pending = self.readlog.drain()
-        if not pending:
+        self._publish_counts()
+        if self.readlog.empty:
             return
+        requests, by_segment = self.readlog.drain()
         self.stats.inc("fetches")
-        with self._tracer.span("tcio.fetch", requests=len(pending)):
-            yield from self._fetch_pending(pending)
+        with self._tracer.span("tcio.fetch", requests=requests):
+            yield from self._fetch_pending(by_segment)
 
-    def _fetch_pending(self, pending: list[PendingRead]):
-        # Group the requested byte ranges by global segment.
-        by_segment: dict[int, list[tuple[int, int, memoryview]]] = {}
-        for req in pending:
-            covered = 0
-            for loc in self.mapping.locate(req.file_offset, req.length):
-                gseg = loc.segment * self.mapping.nranks + loc.rank
-                dest_slice = req.dest[
-                    req.dest_offset + covered : req.dest_offset + covered + loc.length
-                ]
-                by_segment.setdefault(gseg, []).append(
-                    (loc.disp, loc.length, dest_slice)
-                )
-                covered += loc.length
+    def _fetch_pending(
+        self, by_segment: dict[int, list[tuple[int, int, memoryview]]]
+    ):
+        # The requests arrive bucketed by global segment (ReadLog.record).
         # Service order matters: if every rank walked segments in file
         # order, the whole job would convoy behind one loader per segment.
         # Each rank serves the segments it owns first (it is that data's
@@ -788,6 +815,7 @@ class TcioFile:
         place as one epoch of the two-phase protocol.
         """
         self._check_open()
+        self._publish_counts()
         with self._tracer.span("tcio.flush"):
             if self.mode == TCIO_WRONLY:
                 yield from self._ft_guard(self._flush_write_body)
@@ -1303,6 +1331,7 @@ class TcioFile:
     _abort = abort  # backwards-compatible spelling
 
     def _release(self) -> None:
+        self._publish_counts()
         memory = self.env.world.memory
         for alloc in self._allocs:
             memory.free(alloc)
@@ -1336,6 +1365,19 @@ class TcioFile:
         if pos < limit:
             pieces.append((pos, limit))
         return pieces
+
+    def _publish_counts(self) -> None:
+        """Bring the registry up to the handle's plain per-call counters."""
+        stats = self.stats
+        for fld, total in (
+            ("write_calls", self.write_calls),
+            ("written_bytes", self.written_bytes),
+            ("read_calls", self.read_calls),
+            ("read_bytes", self.read_bytes),
+        ):
+            delta = total - stats.counted(fld)
+            if delta:
+                stats.inc(fld, delta)
 
     # ------------------------------------------------------------------
     def _charge_memcpy(self, nbytes: int) -> None:

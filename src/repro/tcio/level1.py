@@ -10,24 +10,9 @@ buffer stores *requests* (lazy loading): destination, length, displacement.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.util.errors import TcioError
-
-
-@dataclass
-class PendingRead:
-    """One recorded (not yet loaded) read: lazy-loading bookkeeping.
-
-    ``dest`` is the caller's writable buffer; ``dest_offset`` where the
-    bytes go — the in-memory "address" the paper's library retains.
-    """
-
-    dest: memoryview
-    dest_offset: int
-    file_offset: int
-    length: int
 
 
 class Level1Buffer:
@@ -131,48 +116,78 @@ class Level1Buffer:
 
 
 class ReadLog:
-    """Recorded lazy reads, grouped for a fetch.
+    """Recorded lazy reads, already grouped by global segment.
 
-    Tracks the file-domain span of pending requests: the paper triggers
-    real loading "when the file domain of cached reads exceeds the size of
-    the level-1 buffer".
+    A read call "only records (address, length, offset)": each request is
+    bucketed at record time as ``segments[gseg] -> [(disp, length, dest),
+    ...]`` with one ``//`` (equations (2)-(3) in O(1)), so a fetch walks
+    the buckets without re-mapping anything. A request straddling segment
+    boundaries is split there, in file order, into one piece per segment.
+
+    Also tracks the file-domain span ``[lo, hi)`` of the pending requests:
+    the paper triggers real loading "when the file domain of cached reads
+    exceeds the size of the level-1 buffer" — ``window`` bytes here; the
+    check itself is inlined in :meth:`TcioFile.read_at`.
     """
 
-    def __init__(self, segment_size: int):
+    __slots__ = ("segment_size", "window", "segments", "requests", "lo", "hi")
+
+    def __init__(self, segment_size: int, window: int):
         self.segment_size = segment_size
-        self.pending: list[PendingRead] = []
-        self._lo: Optional[int] = None
-        self._hi: Optional[int] = None
+        self.window = window
+        self.segments: dict[int, list[tuple[int, int, memoryview]]] = {}
+        self.requests = 0  # recorded read calls (not pieces)
+        self.lo = 0
+        self.hi = 0
 
     @property
     def empty(self) -> bool:
         """Whether no lazy reads are pending."""
-        return not self.pending
+        return not self.requests
 
     @property
     def domain_span(self) -> int:
         """File-domain span of the pending reads."""
-        if self._lo is None or self._hi is None:
-            return 0
-        return self._hi - self._lo
+        return self.hi - self.lo
 
-    def record(self, read: PendingRead) -> None:
-        """Append one lazy read and widen the pending domain."""
-        self.pending.append(read)
-        lo, hi = read.file_offset, read.file_offset + read.length
-        self._lo = lo if self._lo is None else min(self._lo, lo)
-        self._hi = hi if self._hi is None else max(self._hi, hi)
+    def record(self, offset: int, length: int, dest: memoryview) -> None:
+        """Bucket one lazy read of ``len(dest) == length`` bytes at *offset*."""
+        end = offset + length
+        if self.requests:
+            if offset < self.lo:
+                self.lo = offset
+            if end > self.hi:
+                self.hi = end
+        else:
+            self.lo, self.hi = offset, end
+        self.requests += 1
+        seg = self.segment_size
+        gseg = offset // seg
+        disp = offset - gseg * seg
+        segments = self.segments
+        if disp + length <= seg:
+            bucket = segments.get(gseg)
+            if bucket is None:
+                segments[gseg] = [(disp, length, dest)]
+            else:
+                bucket.append((disp, length, dest))
+            return
+        # The subdivision rule: a block larger than what is left of its
+        # segment is split and placed in consecutive segments.
+        pos = 0
+        while pos < length:
+            take = min(length - pos, seg - disp)
+            segments.setdefault(gseg, []).append(
+                (disp, take, dest[pos : pos + take])
+            )
+            pos += take
+            gseg += 1
+            disp = 0
 
-    def overflows_with(self, file_offset: int, length: int) -> bool:
-        """Would recording this read push the domain past one level-1?"""
-        if self._lo is None:
-            return False
-        lo = min(self._lo, file_offset)
-        hi = max(self._hi or 0, file_offset + length)
-        return hi - lo > self.segment_size
-
-    def drain(self) -> list[PendingRead]:
-        """Return and clear all pending reads."""
-        out, self.pending = self.pending, []
-        self._lo = self._hi = None
+    def drain(self) -> tuple[int, dict[int, list[tuple[int, int, memoryview]]]]:
+        """Return ``(requests, segments)`` and clear the log."""
+        out = self.requests, self.segments
+        self.segments = {}
+        self.requests = 0
+        self.lo = self.hi = 0
         return out

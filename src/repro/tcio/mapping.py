@@ -14,20 +14,9 @@ these three values in O(1) time given the logical file offset."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from repro.util.errors import TcioError
 from repro.util.intervals import Extent
-
-
-@dataclass(frozen=True)
-class BlockLocation:
-    """Where one file byte range lives in the distributed level-2 buffer."""
-
-    rank: int  # ID_rank: owning process
-    segment: int  # ID_segment: slot within the owner's level-2 buffer
-    disp: int  # DISP_block: byte displacement inside the segment
-    length: int  # bytes of this (sub-)block
 
 
 @dataclass(frozen=True)
@@ -87,27 +76,6 @@ class SegmentMapping:
         if slot < 0 or not (0 <= disp < self.segment_size):
             raise TcioError(f"bad (slot={slot}, disp={disp})")
         return (slot * self.nranks + rank) * self.segment_size + disp
-
-    def locate(self, offset: int, length: int) -> Iterator[BlockLocation]:
-        """Split ``[offset, offset+length)`` at segment boundaries and map
-        each piece (the subdivision rule: "If a combined data block were
-        larger than the size of one level-2 buffer segment, it has to be
-        subdivided and placed in different segments")."""
-        if length < 0:
-            raise TcioError("negative block length")
-        pos = offset
-        end = offset + length
-        while pos < end:
-            gseg = self.global_segment(pos)
-            seg_end = (gseg + 1) * self.segment_size
-            take = min(end, seg_end) - pos
-            yield BlockLocation(
-                rank=gseg % self.nranks,
-                segment=gseg // self.nranks,
-                disp=pos % self.segment_size,
-                length=take,
-            )
-            pos += take
 
     def _check(self, offset: int) -> None:
         if offset < 0:

@@ -11,11 +11,17 @@ assertions keep working and the registry is the single source of truth.
 The old integer fields are not attributes: read ``stats.as_dict()``,
 ``stats.value(name)`` or ``stats.registry``, and bump with
 ``stats.inc(name, n)``.
+
+The per-call counters (``write_calls``/``written_bytes``/``read_calls``/
+``read_bytes``) are plain ints on the handle, published to the registry
+lazily; a handle passes its publisher as ``pull`` and every read here
+(``value``, ``as_dict``, ``as_metrics``, ``flushes``) calls it first, so
+no reader sees a stale count.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -42,11 +48,16 @@ FIELD_METRICS: dict[str, str] = {
 class TcioStats:
     """What one TCIO handle did — the mechanism evidence behind the figures."""
 
-    __slots__ = ("registry", "extra", "_counters")
+    __slots__ = ("registry", "extra", "_counters", "_pull")
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None):
+    def __init__(
+        self,
+        registry: Optional[MetricsRegistry] = None,
+        pull: Optional[Callable[[], None]] = None,
+    ):
         self.registry = registry if registry is not None else MetricsRegistry()
         self.extra = {}
+        self._pull = pull
         # Counter objects memoized per handle: ``inc`` runs a few times per
         # application I/O call, and the name translation + registry lookup
         # showed up in whole-run profiles.
@@ -60,15 +71,25 @@ class TcioStats:
             self._counters[fld] = counter
         counter.inc(n)
 
-    def value(self, fld: str) -> int:
-        """The legacy-named counter's current integer value."""
+    def counted(self, fld: str) -> int:
+        """The legacy-named counter as the registry holds it (no pull)."""
         metric = self.registry.get(FIELD_METRICS[fld])
         return int(metric.count) if metric is not None else 0
+
+    def value(self, fld: str) -> int:
+        """The legacy-named counter's current integer value."""
+        self._sync()
+        return self.counted(fld)
+
+    def _sync(self) -> None:
+        if self._pull is not None:
+            self._pull()
 
     @property
     def flushes(self) -> int:
         """Total level-1 drains (local + remote)."""
-        return self.value("local_flushes") + self.value("remote_flushes")
+        self._sync()
+        return self.counted("local_flushes") + self.counted("remote_flushes")
 
     def as_dict(self) -> dict[str, int]:
         """All counters as a plain dict (the stable legacy key set).
@@ -77,13 +98,15 @@ class TcioStats:
         over ``__dict__``, so the key set cannot silently drift (e.g. a
         future ``bool`` field sneaking in as an ``int``).
         """
-        out = {fld: self.value(fld) for fld in FIELD_METRICS}
+        self._sync()
+        out = {fld: self.counted(fld) for fld in FIELD_METRICS}
         out.update(self.extra)
         return out
 
     def as_metrics(self) -> dict[str, int]:
         """The same view keyed by dotted registry names (for metrics.json)."""
-        return {metric: self.value(fld) for fld, metric in FIELD_METRICS.items()}
+        self._sync()
+        return {metric: self.counted(fld) for fld, metric in FIELD_METRICS.items()}
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"TcioStats({self.as_dict()!r})"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.simmpi import run_mpi
+from repro.simmpi import INT, run_mpi
 from repro.simmpi import collectives as coll
 from repro.tcio import (
     SEEK_CUR,
@@ -256,6 +256,76 @@ class TestModesAndErrors:
             with pytest.raises(TcioError):
                 fh.seek(0, 42)
             (yield from fh.close())
+
+        run(1, main)
+
+
+class TestNegativeOffsets:
+    """A negative offset fails at the call, not at fetch/close."""
+
+    def test_write_at_negative_offset_rejected(self):
+        def main(env):
+            fh = (yield from TcioFile.open(env, "f", TCIO_WRONLY, cfg_for(64, env.size, 16)))
+            with pytest.raises(TcioError, match="negative file offset -4"):
+                (yield from fh.write_at(-4, b"abcd"))
+            assert fh.level1.empty and fh.write_calls == 0
+            (yield from fh.write_at(0, b"ok"))
+            (yield from fh.close())  # nothing poisoned the handle
+
+        res = run(1, main)
+        assert res.pfs.lookup("f").contents() == b"ok"
+
+    def test_read_at_negative_offset_rejected(self):
+        def main(env):
+            (yield from TestReadPath()._write_file(env))
+            fh = (yield from TcioFile.open(env, "f", TCIO_RDONLY, cfg_for(256, env.size, 32)))
+            with pytest.raises(TcioError, match="negative file offset -4"):
+                (yield from fh.read_at(-4, bytearray(4)))
+            assert fh.readlog.empty and fh.read_calls == 0
+            (yield from fh.fetch())
+            (yield from fh.close())
+
+        run(1, main)
+
+
+class TestReadTargets:
+    """The checked path for read targets the fast path does not take."""
+
+    def _reject(self, dest, match, count=None):
+        def main(env):
+            (yield from TestReadPath()._write_file(env))
+            fh = (yield from TcioFile.open(env, "f", TCIO_RDONLY, cfg_for(256, env.size, 32)))
+            with pytest.raises(TcioError, match=match):
+                if count is None:
+                    (yield from fh.read_at(0, dest))
+                else:
+                    (yield from fh.read_at(0, dest, count, INT))
+            assert fh.readlog.empty
+            (yield from fh.close())
+
+        run(1, main)
+
+    def test_read_only_memoryview_rejected(self):
+        self._reject(memoryview(b"abcd"), "read-only")
+
+    def test_non_contiguous_numpy_slice_rejected(self):
+        self._reject(np.zeros(8, dtype=np.uint8)[::2], "C-contiguous")
+
+    def test_short_target_rejected(self):
+        self._reject(bytearray(4), "4 bytes < 8 requested", count=2)
+
+    def test_negative_count_rejected(self):
+        self._reject(bytearray(4), "negative read count", count=-1)
+
+    def test_fast_path_target_is_filled_in_place(self):
+        def main(env):
+            (yield from TestReadPath()._write_file(env))
+            fh = (yield from TcioFile.open(env, "f", TCIO_RDONLY, cfg_for(256, env.size, 32)))
+            big = bytearray(16)
+            view = memoryview(big)[4:12]
+            (yield from fh.read_at(40, view))
+            (yield from fh.close())
+            assert bytes(big) == bytes(4) + bytes(range(40, 48)) + bytes(4)
 
         run(1, main)
 

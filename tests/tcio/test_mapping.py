@@ -1,10 +1,12 @@
 """Equations (1)-(3) and the segment mapping."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from repro.tcio import TCIO_RDONLY, TCIO_WRONLY, TcioConfig, TcioFile
 from repro.tcio.mapping import SegmentMapping
 from repro.util.errors import TcioError
+from tests.conftest import run_small
 
 
 class TestEquations:
@@ -62,21 +64,6 @@ class TestDerived:
         e = m.segment_extent(3)
         assert (e.start, e.stop) == (300, 400)
 
-    def test_locate_splits_at_segment_boundaries(self):
-        m = SegmentMapping(segment_size=100, nranks=2)
-        locs = list(m.locate(150, 200))  # spans segments 1, 2, 3
-        assert [(l.rank, l.segment, l.disp, l.length) for l in locs] == [
-            (1, 0, 50, 50),
-            (0, 1, 0, 100),
-            (1, 1, 0, 50),
-        ]
-
-    def test_locate_within_one_segment(self):
-        m = SegmentMapping(100, 2)
-        [loc] = m.locate(210, 50)
-        assert (loc.rank, loc.segment, loc.disp, loc.length) == (0, 1, 10, 50)
-
-
 class TestMappingProperties:
     @given(st.integers(0, 10**7), st.integers(1, 1 << 20), st.integers(1, 1024))
     def test_bijection(self, offset, segment_size, nranks):
@@ -88,20 +75,6 @@ class TestMappingProperties:
         assert 0 <= disp < segment_size
         assert m.file_offset(rank, slot, disp) == offset
 
-    @given(st.integers(0, 10**5), st.integers(0, 5000), st.integers(1, 64), st.integers(1, 16))
-    def test_locate_covers_range_exactly(self, offset, length, segment_size, nranks):
-        m = SegmentMapping(segment_size, nranks)
-        locs = list(m.locate(offset, length))
-        assert sum(loc.length for loc in locs) == length
-        pos = offset
-        for loc in locs:
-            assert m.rank_of(pos) == loc.rank
-            assert m.segment_of(pos) == loc.segment
-            assert m.disp_of(pos) == loc.disp
-            # no piece crosses a segment boundary
-            assert loc.disp + loc.length <= segment_size
-            pos += loc.length
-
     @given(st.integers(1, 100), st.integers(1, 32))
     def test_round_robin_balance(self, nsegs_per_rank, nranks):
         """Consecutive segments distribute perfectly evenly over ranks."""
@@ -110,3 +83,87 @@ class TestMappingProperties:
         for g in range(nsegs_per_rank * nranks):
             counts[m.owner_of_segment(g)] += 1
         assert counts == [nsegs_per_rank] * nranks
+
+
+def _round_trip(nranks, segment, writes, reads, file_bytes=1024):
+    """Rank 0 writes *writes* ((offset, payload) pairs) and closes; then
+    rank 0 records *reads* ((offset, length) pairs) and fetches.
+
+    Returns (dirty segments after the write, the read log's
+    ``{gseg: [(disp, length), ...]}`` before the fetch, the bytes read).
+    """
+    cfg = TcioConfig(
+        segment_size=segment,
+        segments_per_process=-(-file_bytes // (segment * nranks)),
+    )
+
+    def main(env):
+        fh = yield from TcioFile.open(env, "f", TCIO_WRONLY, cfg)
+        if env.rank == 0:
+            for offset, payload in writes:
+                yield from fh.write_at(offset, payload)
+        yield from fh.close()
+        dirty = sorted(fh.directory.dirty)
+        fh = yield from TcioFile.open(env, "f", TCIO_RDONLY, cfg)
+        bufs = []
+        if env.rank == 0:
+            for offset, length in reads:
+                bufs.append(bytearray(length))
+                yield from fh.read_at(offset, bufs[-1])
+        pieces = {
+            g: [(d, n) for d, n, _ in bucket]
+            for g, bucket in fh.readlog.segments.items()
+        }
+        yield from fh.fetch()
+        yield from fh.close()
+        return dirty, pieces, [bytes(b) for b in bufs]
+
+    return run_small(nranks, main).returns[0]
+
+
+class TestSubdivision:
+    """The subdivision rule through the API: "If a combined data block
+    were larger than the size of one level-2 buffer segment, it has to be
+    subdivided and placed in different segments"."""
+
+    def test_straddling_request_splits_at_segment_boundaries(self):
+        payload = bytes(i % 251 for i in range(200))
+        dirty, pieces, [got] = _round_trip(
+            2, 100, [(150, payload)], [(150, 200)]  # spans segments 1, 2, 3
+        )
+        # Segments 1 and 3 live on rank 1, segment 2 on rank 0 (eq. (1)).
+        assert dirty == [1, 2, 3]
+        assert pieces == {1: [(50, 50)], 2: [(0, 100)], 3: [(0, 50)]}
+        assert got == payload
+
+    def test_request_within_one_segment_is_one_piece(self):
+        dirty, pieces, [got] = _round_trip(
+            2, 100, [(210, b"z" * 50)], [(210, 50)]
+        )
+        assert dirty == [2]
+        assert pieces == {2: [(10, 50)]}
+        assert got == b"z" * 50
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 500), st.integers(1, 64), st.integers(1, 4), st.data())
+    def test_straddling_round_trip_matches_reference(
+        self, offset, segment, nranks, data
+    ):
+        # At least three segments' worth, so the block straddles >= 3.
+        length = data.draw(st.integers(2 * segment + 1, 3 * segment + 40))
+        payload = bytes((offset + i) % 251 for i in range(length))
+        cut = data.draw(st.integers(0, length))
+        dirty, pieces, got = _round_trip(
+            nranks,
+            segment,
+            [(offset, payload)],
+            [(offset, cut), (offset + cut, length - cut)],
+            file_bytes=offset + length,
+        )
+        first, last = offset // segment, (offset + length - 1) // segment
+        assert last - first >= 2
+        assert dirty == list(range(first, last + 1))
+        assert sorted(pieces) == dirty
+        assert sum(n for bucket in pieces.values() for _, n in bucket) == length
+        assert all(d + n <= segment for bucket in pieces.values() for d, n in bucket)
+        assert b"".join(got) == payload

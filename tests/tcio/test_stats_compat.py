@@ -13,7 +13,7 @@ import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.simmpi import run_mpi
-from repro.tcio import TCIO_WRONLY, TcioConfig, tcio_open, tcio_write
+from repro.tcio import TCIO_RDONLY, TCIO_WRONLY, TcioConfig, tcio_open, tcio_write
 from repro.tcio.stats import FIELD_METRICS, TcioStats
 from tests.conftest import make_test_cluster
 
@@ -117,3 +117,59 @@ class TestDeprecatedFieldAccess:
             s.read_calls  # a legacy name: read it via value()/as_dict()
         with pytest.raises(AttributeError):
             s.write_calls = 9  # a legacy name: bump it via inc()
+
+
+class TestLazyPublication:
+    """Per-call counters are plain ints on the handle, published to the
+    registry lazily; every stats read still sees the current count."""
+
+    def test_write_side_reads_between_calls(self):
+        def main(env):
+            cfg = TcioConfig.sized_for(256, env.size, 64)
+            fh = yield from tcio_open(env, "f", TCIO_WRONLY, cfg)
+            seen = []
+            for i in range(3):
+                yield from fh.write_at(env.rank * 8 + i * 16, b"x" * 8)
+                seen.append(
+                    (
+                        fh.stats.value("write_calls"),
+                        fh.stats.as_dict()["written_bytes"],
+                        fh.stats.as_metrics()["tcio.write.bytes"],
+                    )
+                )
+            assert (fh.write_calls, fh.written_bytes) == (3, 24)
+            yield from fh.flush()
+            # A flush publishes without any reader pulling first.
+            published = fh.stats.registry.get("tcio.write.calls").count
+            yield from fh.close()
+            return seen, published
+
+        res = run_mpi(2, main, cluster=make_test_cluster())
+        for seen, published in res.returns:
+            assert seen == [(1, 8, 8), (2, 16, 16), (3, 24, 24)]
+            assert published == 3
+
+    def test_read_side_reads_between_calls(self):
+        def seed(pfs):
+            pfs.create("f").write_bytes(0, bytes(range(64)))
+
+        def main(env):
+            cfg = TcioConfig.sized_for(64, env.size, 16)
+            fh = yield from tcio_open(env, "f", TCIO_RDONLY, cfg)
+            seen = []
+            for i in range(3):
+                yield from fh.read_at(i * 4, bytearray(4))
+                seen.append(
+                    (fh.stats.value("read_calls"), fh.stats.as_dict()["read_bytes"])
+                )
+            yield from fh.fetch()
+            fetched = fh.stats.registry.get("tcio.read.bytes").count
+            yield from fh.read_at(0, bytearray(2))
+            fh.abort()  # publishes too, with no collective
+            aborted = fh.stats.registry.get("tcio.read.calls").count
+            return seen, fetched, aborted, fh.stats.flushes
+
+        res = run_mpi(2, main, cluster=make_test_cluster(), pfs_init=seed)
+        for seen, fetched, aborted, flushes in res.returns:
+            assert seen == [(1, 4), (2, 8), (3, 12)]
+            assert (fetched, aborted, flushes) == (12, 4, 0)

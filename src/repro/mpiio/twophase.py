@@ -74,18 +74,26 @@ class FileDomains:
         """Aggregator whose domain contains file byte *offset*."""
         if not (self.gmin <= offset < self.gmax):
             raise MpiIoError(f"offset {offset} outside aggregate region")
-        idx = bisect.bisect_right(self.bounds, offset) - 1
-        return min(idx, self.naggs - 1)
+        # bounds[naggs] == gmax > offset, so this is at most naggs - 1; equal
+        # bounds (empty aligned domains) resolve to the last, nonempty one.
+        return bisect.bisect_right(self.bounds, offset) - 1
 
     def split(self, extent: Extent) -> list[tuple[int, Extent]]:
-        """Cut *extent* at domain boundaries: (aggregator, piece) pairs."""
+        """Cut *extent* at domain boundaries: (aggregator, piece) pairs.
+
+        An extent inside one domain (the common case) comes back as the
+        caller's own object; only one straddling a boundary is cut.
+        """
         out: list[tuple[int, Extent]] = []
-        pos = extent.start
-        while pos < extent.stop:
+        pos, stop = extent.start, extent.stop
+        while pos < stop:
             agg = self.owner_of(pos)
-            stop = min(extent.stop, self.bounds[agg + 1])
-            out.append((agg, Extent(pos, stop)))
-            pos = stop
+            end = self.bounds[agg + 1]
+            if stop <= end:
+                out.append((agg, extent if pos == extent.start else Extent(pos, stop)))
+                break
+            out.append((agg, Extent(pos, end)))
+            pos = end
         return out
 
 
@@ -229,6 +237,123 @@ def _copy_cost(mf: "MpiFile", nbytes: int) -> None:
         mf.env.compute(nbytes / mf.env.world.fabric.spec.memcpy_bandwidth)
 
 
+def _split_blocks(domains: FileDomains, pieces, data: bytes):
+    """Cut the rank's pieces at domain boundaries for the write exchange.
+
+    Returns ``{domain: [(file_offset, block), ...]}`` in file order and
+    ``{domain: total block bytes}``.
+    """
+    send_lists: dict[int, list[tuple[int, bytes]]] = {}
+    send_bytes: dict[int, int] = {}
+    for ext, mem_off in pieces:
+        for di, piece in domains.split(ext):
+            lo = mem_off + piece.start - ext.start
+            n = piece.stop - piece.start
+            send_lists.setdefault(di, []).append((piece.start, data[lo : lo + n]))
+            send_bytes[di] = send_bytes.get(di, 0) + n
+    return send_lists, send_bytes
+
+
+def _plan_requests(domains: FileDomains, pieces):
+    """Cut the rank's pieces at domain boundaries for a collective read.
+
+    Returns ``{domain: [(file_offset, length), ...]}`` — the requests — and
+    ``{domain: [buffer_offset, ...]}``, where each requested block lands in
+    the caller's buffer, in the same order (aggregators reply in request
+    order, so assembly needs no second split).
+    """
+    requests: dict[int, list[tuple[int, int]]] = {}
+    dests: dict[int, list[int]] = {}
+    for ext, mem_off in pieces:
+        for di, piece in domains.split(ext):
+            requests.setdefault(di, []).append((piece.start, piece.stop - piece.start))
+            dests.setdefault(di, []).append(mem_off + piece.start - ext.start)
+    return requests, dests
+
+
+def _write_domain(mf: "MpiFile", tracer, domain: Extent, tempbuf: bytearray, incoming):
+    """Aggregator side of a write (coroutine): place the incoming
+    ``[(offset, block), ...]`` lists in the domain's temporary buffer, then
+    write the whole domain with one storage call."""
+    world = mf.env.world
+    rank = mf.comm.rank
+    covered = 0
+    for lst in incoming:
+        for off, block in lst:
+            lo = off - domain.start
+            tempbuf[lo : lo + len(block)] = block
+            covered += len(block)
+    _copy_cost(mf, covered)
+    if domain.length == 0:
+        return
+    with tracer.span("ocio.io", bytes=domain.length):
+        if covered < domain.length:
+            # Holes in the domain: read-modify-write preserves them.
+            existing = yield from pfs_retry(
+                world,
+                "ocio.io.read",
+                lambda t: mf.client.read(
+                    mf.pfs_file, domain.start, domain.length,
+                    owner=rank, lock_timeout=t,
+                ),
+            )
+            tempbuf = bytearray(existing)
+            for lst in incoming:
+                for off, block in lst:
+                    lo = off - domain.start
+                    tempbuf[lo : lo + len(block)] = block
+        payload = bytes(tempbuf)
+        yield from pfs_retry(
+            world,
+            "ocio.io.write",
+            lambda t: mf.client.write(
+                mf.pfs_file, domain.start, payload, owner=rank, lock_timeout=t
+            ),
+        )
+
+
+def _serve_domain(mf: "MpiFile", domain: Extent, in_pairs, tag: int):
+    """Aggregator side of a read (coroutine): read the domain once and
+    reply to each ``(src, [(offset, length), ...])`` request with its
+    blocks. Returns the blocks this rank requested from itself."""
+    world = mf.env.world
+    comm = mf.comm
+    served_local: list[tuple[int, bytes]] = []
+    if not in_pairs or domain.length == 0:
+        return served_local
+    alloc = world.memory.allocate(comm.rank, domain.length, "ocio.tempbuf")
+    blob = yield from pfs_retry(
+        world,
+        "ocio.read.domain",
+        lambda t: mf.client.read(
+            mf.pfs_file, domain.start, domain.length,
+            owner=comm.rank, lock_timeout=t,
+        ),
+    )
+    for src, lst in in_pairs:
+        blocks = [
+            (off, blob[off - domain.start : off - domain.start + ln])
+            for off, ln in lst
+        ]
+        _copy_cost(mf, sum(ln for _, ln in lst))
+        if src == comm.rank:
+            served_local = blocks
+        else:
+            yield from comm.isend(pack_object(blocks), src, tag, context=CTX_COLL)
+    world.memory.free(alloc)
+    return served_local
+
+
+def _assemble(nbytes: int, replies, dests: dict[int, list[int]]) -> bytes:
+    """Place each domain's reply blocks (``(domain, [(offset, block)])``
+    pairs) at the buffer offsets :func:`_plan_requests` recorded."""
+    out = bytearray(nbytes)
+    for di, blocks in replies:
+        for (_off, block), lo in zip(blocks, dests[di], strict=True):
+            out[lo : lo + len(block)] = block
+    return bytes(out)
+
+
 def write_all(mf: "MpiFile", stream_pos: int, data: bytes):
     """Collective write of *data* at view stream position *stream_pos*
     (coroutine)."""
@@ -248,17 +373,13 @@ def write_all(mf: "MpiFile", stream_pos: int, data: bytes):
         return
 
     # ---- split local pieces by file domain --------------------------
-    send_lists: dict[int, list[tuple[int, bytes]]] = {}
-    for ext, mem_off in pieces:
-        for agg, piece in domains.split(ext):
-            block = data[mem_off + (piece.start - ext.start) : mem_off + (piece.stop - ext.start)]
-            send_lists.setdefault(agg, []).append((piece.start, block))
-    _copy_cost(mf, sum(e.length for e, _ in pieces))  # pack into messages
+    send_lists, send_bytes = _split_blocks(domains, pieces, data)
+    _copy_cost(mf, len(data))  # pack into messages
 
     # ---- exchange counts, then the data (irecvs first, like ROMIO) --
     out_counts = [0] * size
-    for agg, lst in send_lists.items():
-        out_counts[agg] = sum(len(b) for _, b in lst)
+    for agg, n in send_bytes.items():
+        out_counts[agg] = n
     in_counts = yield from collectives.alltoall(comm, out_counts)
 
     tag = collectives._next_tag(comm)
@@ -280,7 +401,6 @@ def write_all(mf: "MpiFile", stream_pos: int, data: bytes):
         if agg != rank:
             yield from comm.isend(pack_object(lst), agg, tag, context=CTX_COLL)
 
-    covered = 0
     if my_domain is not None and tempbuf is not None:
         local = send_lists.get(rank, [])
         with tracer.span("ocio.exchange", peers=len(recv_reqs)):
@@ -288,41 +408,8 @@ def write_all(mf: "MpiFile", stream_pos: int, data: bytes):
         incoming = [local] + [
             unpack_object(req.payload) for _, req in recv_reqs
         ]
-        for lst in incoming:
-            for off, block in lst:
-                lo = off - my_domain.start
-                tempbuf[lo : lo + len(block)] = block
-                covered += len(block)
-        _copy_cost(mf, covered)
-
         # ---- I/O phase ------------------------------------------------
-        if my_domain.length > 0:
-            with tracer.span("ocio.io", bytes=my_domain.length):
-                if covered < my_domain.length:
-                    # Holes in the domain: read-modify-write preserves them.
-                    existing = yield from pfs_retry(
-                        world,
-                        "ocio.io.read",
-                        lambda t: mf.client.read(
-                            mf.pfs_file, my_domain.start, my_domain.length,
-                            owner=rank, lock_timeout=t,
-                        ),
-                    )
-                    merged = bytearray(existing)
-                    for lst in incoming:
-                        for off, block in lst:
-                            lo = off - my_domain.start
-                            merged[lo : lo + len(block)] = block
-                    tempbuf = merged
-                payload = bytes(tempbuf)
-                yield from pfs_retry(
-                    world,
-                    "ocio.io.write",
-                    lambda t: mf.client.write(
-                        mf.pfs_file, my_domain.start, payload,
-                        owner=rank, lock_timeout=t,
-                    ),
-                )
+        yield from _write_domain(mf, tracer, my_domain, tempbuf, incoming)
         world.memory.free(alloc)
     else:
         with tracer.span("ocio.exchange", peers=len(recv_reqs)):
@@ -352,14 +439,8 @@ def _write_all_node(
     my_agg = {a: i for i, a in enumerate(aggs)}.get(rank)
 
     # ---- split local pieces by file domain --------------------------
-    send_lists: dict[int, list[tuple[int, bytes]]] = {}
-    for ext, mem_off in pieces:
-        for di, piece in domains.split(ext):
-            block = data[
-                mem_off + (piece.start - ext.start) : mem_off + (piece.stop - ext.start)
-            ]
-            send_lists.setdefault(di, []).append((piece.start, block))
-    _copy_cost(mf, sum(e.length for e, _ in pieces))  # pack into messages
+    send_lists, send_bytes = _split_blocks(domains, pieces, data)
+    _copy_cost(mf, len(data))  # pack into messages
 
     # ---- stage remote-bound pieces with the node leader -------------
     seq = nx.next_seq()
@@ -368,7 +449,7 @@ def _write_all_node(
         lst = send_lists.get(di)
         if not lst or nx.routes_direct(rank, agg):
             continue
-        nbytes = sum(len(b) for _, b in lst)
+        nbytes = send_bytes[di]
         yield from charge_staging_copy(world, mf.env.rank, nbytes)
         alloc = world.memory.allocate(mf.env.rank, nbytes, "topo.staging")
         nx.stage.deposit(("w", seq, di), lst, nbytes, allocation=alloc)
@@ -415,39 +496,7 @@ def _write_all_node(
         with tracer.span("topo.exchange", peers=len(recv_reqs)):
             yield from wait_all([req for _, req in recv_reqs])
         incoming = [local] + [unpack_object(req.payload) for _, req in recv_reqs]
-        covered = 0
-        for lst in incoming:
-            for off, block in lst:
-                lo = off - my_domain.start
-                tempbuf[lo : lo + len(block)] = block
-                covered += len(block)
-        _copy_cost(mf, covered)
-        if my_domain.length > 0:
-            with tracer.span("ocio.io", bytes=my_domain.length):
-                if covered < my_domain.length:
-                    existing = yield from pfs_retry(
-                        world,
-                        "ocio.io.read",
-                        lambda t: mf.client.read(
-                            mf.pfs_file, my_domain.start, my_domain.length,
-                            owner=rank, lock_timeout=t,
-                        ),
-                    )
-                    merged_buf = bytearray(existing)
-                    for lst in incoming:
-                        for off, block in lst:
-                            lo = off - my_domain.start
-                            merged_buf[lo : lo + len(block)] = block
-                    tempbuf = merged_buf
-                payload = bytes(tempbuf)
-                yield from pfs_retry(
-                    world,
-                    "ocio.io.write",
-                    lambda t: mf.client.write(
-                        mf.pfs_file, my_domain.start, payload,
-                        owner=rank, lock_timeout=t,
-                    ),
-                )
+        yield from _write_domain(mf, tracer, my_domain, tempbuf, incoming)
         world.memory.free(alloc)
 
     if world.trace is not None:
@@ -470,10 +519,7 @@ def read_all(mf: "MpiFile", stream_pos: int, nbytes: int):
         return b""
 
     # ---- send my requests to the owning aggregators -----------------
-    request_lists: dict[int, list[tuple[int, int]]] = {}
-    for ext, _mem in pieces:
-        for agg, piece in domains.split(ext):
-            request_lists.setdefault(agg, []).append((piece.start, piece.length))
+    request_lists, dests = _plan_requests(domains, pieces)
     out_reqs = [request_lists.get(agg, []) for agg in range(size)]
     in_reqs = yield from collectives.alltoall(comm, out_reqs)
 
@@ -486,56 +532,21 @@ def read_all(mf: "MpiFile", stream_pos: int, nbytes: int):
             reply_reqs.append((agg, req))
     served_local: list[tuple[int, bytes]] = []
     if rank < domains.naggs:
-        my_domain = domains.domain(rank)
-        needed = any(in_reqs[src] for src in range(size))
-        if needed and my_domain.length > 0:
-            alloc = world.memory.allocate(rank, my_domain.length, "ocio.tempbuf")
-            blob = yield from pfs_retry(
-                world,
-                "ocio.read.domain",
-                lambda t: mf.client.read(
-                    mf.pfs_file, my_domain.start, my_domain.length,
-                    owner=rank, lock_timeout=t,
-                ),
-            )
-            for src in range(size):
-                if not in_reqs[src]:
-                    continue
-                blocks = [
-                    (off, blob[off - my_domain.start : off - my_domain.start + ln])
-                    for off, ln in in_reqs[src]
-                ]
-                _copy_cost(mf, sum(ln for _, ln in in_reqs[src]))
-                if src == rank:
-                    served_local = blocks
-                else:
-                    yield from comm.isend(
-                        pack_object(blocks), src, tag, context=CTX_COLL
-                    )
-            world.memory.free(alloc)
+        in_pairs = [(src, lst) for src, lst in enumerate(in_reqs) if lst]
+        served_local = yield from _serve_domain(
+            mf, domains.domain(rank), in_pairs, tag
+        )
 
     # ---- assemble the local result ------------------------------------
-    received: dict[int, list[tuple[int, bytes]]] = {}
-    if served_local:
-        received[rank] = served_local
     yield from wait_all([req for _, req in reply_reqs])
-    for agg, req in reply_reqs:
-        received[agg] = unpack_object(req.payload)
-    out = bytearray(nbytes)
-    by_offset: dict[int, bytes] = {}
-    for blocks in received.values():
-        for off, block in blocks:
-            by_offset[off] = block
-    for ext, mem_off in pieces:
-        for _agg, piece in domains.split(ext):
-            block = by_offset[piece.start]
-            lo = mem_off + (piece.start - ext.start)
-            out[lo : lo + len(block)] = block
-    _copy_cost(mf, sum(e.length for e, _ in pieces))
+    replies = [(rank, served_local)] if served_local else []
+    replies += [(agg, unpack_object(req.payload)) for agg, req in reply_reqs]
+    out = _assemble(nbytes, replies, dests)
+    _copy_cost(mf, nbytes)
     if world.trace is not None:
         world.trace.count("ocio.read_all", nbytes)
         world.trace.complete("ocio.read_all", t0, world.engine.now, bytes=nbytes)
-    return bytes(out)
+    return out
 
 
 def _read_all_node(
@@ -552,7 +563,7 @@ def _read_all_node(
     requester knows whether it asked, so the edge needs no counts round).
     """
     comm = mf.comm
-    rank, size = comm.rank, comm.size
+    rank = comm.rank
     world = mf.env.world
     t0 = world.engine.now
     pieces, domains = yield from _setup(mf, stream_pos, nbytes)
@@ -561,10 +572,7 @@ def _read_all_node(
     aggs = spread_aggregators(nx.topo, domains.naggs)
     my_agg = {a: i for i, a in enumerate(aggs)}.get(rank)
 
-    request_lists: dict[int, list[tuple[int, int]]] = {}
-    for ext, _mem in pieces:
-        for di, piece in domains.split(ext):
-            request_lists.setdefault(di, []).append((piece.start, piece.length))
+    request_lists, dests = _plan_requests(domains, pieces)
 
     # ---- ship requests over the fixed edges -------------------------
     seq = nx.next_seq()
@@ -602,12 +610,11 @@ def _read_all_node(
     for di in sorted(request_lists):
         if aggs[di] != rank:
             req = yield from comm.irecv(aggs[di], tag2, context=CTX_COLL)
-            reply_reqs.append((aggs[di], req))
+            reply_reqs.append((di, req))
 
     # ---- aggregators read their domains and serve --------------------
     served_local: list[tuple[int, bytes]] = []
     if my_agg is not None:
-        my_domain = domains.domain(my_agg)
         yield from wait_all([req for _, req in req_reqs])
         in_pairs: list[tuple[int, list[tuple[int, int]]]] = []
         local = request_lists.get(my_agg)
@@ -615,52 +622,20 @@ def _read_all_node(
             in_pairs.append((rank, local))
         for _src, req in req_reqs:
             in_pairs.extend(unpack_object(req.payload))
-        if in_pairs and my_domain.length > 0:
-            alloc = world.memory.allocate(rank, my_domain.length, "ocio.tempbuf")
-            blob = yield from pfs_retry(
-                world,
-                "ocio.read.domain",
-                lambda t: mf.client.read(
-                    mf.pfs_file, my_domain.start, my_domain.length,
-                    owner=rank, lock_timeout=t,
-                ),
-            )
-            for src, lst in in_pairs:
-                blocks = [
-                    (off, blob[off - my_domain.start : off - my_domain.start + ln])
-                    for off, ln in lst
-                ]
-                _copy_cost(mf, sum(ln for _, ln in lst))
-                if src == rank:
-                    served_local = blocks
-                else:
-                    yield from comm.isend(
-                        pack_object(blocks), src, tag2, context=CTX_COLL
-                    )
-            world.memory.free(alloc)
+        served_local = yield from _serve_domain(
+            mf, domains.domain(my_agg), in_pairs, tag2
+        )
 
     # ---- assemble the local result ------------------------------------
-    received: dict[int, list[tuple[int, bytes]]] = {}
-    if served_local:
-        received[rank] = served_local
     yield from wait_all([req for _, req in reply_reqs])
-    for agg, req in reply_reqs:
-        received[agg] = unpack_object(req.payload)
-    out = bytearray(nbytes)
-    by_offset: dict[int, bytes] = {}
-    for blocks in received.values():
-        for off, block in blocks:
-            by_offset[off] = block
-    for ext, mem_off in pieces:
-        for _di, piece in domains.split(ext):
-            block = by_offset[piece.start]
-            lo = mem_off + (piece.start - ext.start)
-            out[lo : lo + len(block)] = block
-    _copy_cost(mf, sum(e.length for e, _ in pieces))
+    replies = [(my_agg, served_local)] if served_local else []
+    replies += [(di, unpack_object(req.payload)) for di, req in reply_reqs]
+    out = _assemble(nbytes, replies, dests)
+    _copy_cost(mf, nbytes)
     if world.trace is not None:
         world.trace.count("ocio.read_all", nbytes)
         world.trace.complete("ocio.read_all", t0, world.engine.now, bytes=nbytes)
-    return bytes(out)
+    return out
 
 
 def write_all_rounds(mf: "MpiFile", stream_pos: int, data: bytes):

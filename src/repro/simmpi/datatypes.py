@@ -29,15 +29,26 @@ def _merge_segments(segments: list[tuple[int, int]]) -> list[tuple[int, int]]:
     typemaps are ordered, and file views rely on that order.
     """
     merged: list[tuple[int, int]] = []
+    run_off = run_end = None
     for off, length in segments:
         if length == 0:
             continue
-        if merged and merged[-1][0] + merged[-1][1] == off:
-            prev_off, prev_len = merged[-1]
-            merged[-1] = (prev_off, prev_len + length)
+        if off == run_end:
+            run_end += length
         else:
-            merged.append((off, length))
+            if run_end is not None:
+                merged.append((run_off, run_end - run_off))
+            run_off, run_end = off, off + length
+    if run_end is not None:
+        merged.append((run_off, run_end - run_off))
     return merged
+
+
+def _repeat(
+    segments: Sequence[tuple[int, int]], count: int, step: int
+) -> list[tuple[int, int]]:
+    """*count* copies of *segments*, the i-th shifted by ``i * step`` bytes."""
+    return [(off + i * step, ln) for i in range(count) for off, ln in segments]
 
 
 class Datatype:
@@ -146,11 +157,7 @@ class Contiguous(Datatype):
         self._extent = count * base.extent
 
     def _build_segments(self) -> list[tuple[int, int]]:
-        out: list[tuple[int, int]] = []
-        for i in range(self.count):
-            shift = i * self.base.extent
-            out.extend((off + shift, ln) for off, ln in self.base.segments)
-        return out
+        return _repeat(self.base.segments, self.count, self.base.extent)
 
 
 class Vector(Datatype):
@@ -173,12 +180,8 @@ class Vector(Datatype):
             self._extent = last_block_start + blocklength * base.extent
 
     def _build_segments(self) -> list[tuple[int, int]]:
-        block = Contiguous(self.blocklength, self.base)
-        out: list[tuple[int, int]] = []
-        for i in range(self.count):
-            shift = i * self.stride * self.base.extent
-            out.extend((off + shift, ln) for off, ln in block.segments)
-        return out
+        block = Contiguous(self.blocklength, self.base).segments
+        return _repeat(block, self.count, self.stride * self.base.extent)
 
 
 class Hvector(Datatype):
@@ -198,12 +201,8 @@ class Hvector(Datatype):
             self._extent = (count - 1) * stride_bytes + blocklength * base.extent
 
     def _build_segments(self) -> list[tuple[int, int]]:
-        block = Contiguous(self.blocklength, self.base)
-        out: list[tuple[int, int]] = []
-        for i in range(self.count):
-            shift = i * self.stride_bytes
-            out.extend((off + shift, ln) for off, ln in block.segments)
-        return out
+        block = Contiguous(self.blocklength, self.base).segments
+        return _repeat(block, self.count, self.stride_bytes)
 
 
 class Indexed(Datatype):

@@ -141,6 +141,20 @@ class TestRoundsBasedTwoPhase:
         res = run(4, main)
         assert res.pfs.lookup("f").contents() == self.expected(4)
 
+    @pytest.mark.parametrize("cap", [1, 5, 13, 1 << 20])
+    @pytest.mark.parametrize("align", [True, False])
+    @pytest.mark.parametrize("cb_nodes", [None, 5])
+    def test_any_cap_matches_whole_domain_write(self, cap, align, cb_nodes):
+        # Caps that do not divide the 4-byte blocks, and 5 unaligned domains
+        # over 8 ranks, cut blocks at round and domain boundaries.
+        hints = IoHints(cb_rounds_buffer=cap, cb_align_stripes=align, cb_nodes=cb_nodes)
+
+        def main(env):
+            (yield from self._write(env, hints))
+
+        res = run(8, main)
+        assert res.pfs.lookup("f").contents() == self.expected(8)
+
     def test_single_giant_round_matches_default(self):
         def main(env):
             (yield from self._write(env, IoHints(cb_rounds_buffer=1 << 20)))
@@ -169,3 +183,15 @@ class TestRoundsBasedTwoPhase:
         data = res.pfs.lookup("f").contents()
         assert data[0:8] == b"A" * 8
         assert data[40:48] == b"B" * 8
+
+    @pytest.mark.parametrize("cap", [3, 7, 40])
+    def test_rounds_with_holes_match_whole_domain_write(self, cap):
+        def image(hints):
+            def main(env):
+                fh = (yield from MpiFile.open(env, "f", MODE_RDWR | MODE_CREATE, hints))
+                (yield from fh.write_at_all(env.rank * 40 + 3, bytes([65 + env.rank]) * (8 + 5 * env.rank)))
+                (yield from fh.close())
+
+            return run(3, main).pfs.lookup("f").contents()
+
+        assert image(IoHints(cb_rounds_buffer=cap)) == image(IoHints())

@@ -147,3 +147,113 @@ class TestViewProperties:
         all_extents.sort(key=lambda e: e.start)
         for a, b in zip(all_extents, all_extents[1:]):
             assert a.stop <= b.start
+
+
+class TestMonotoneViews:
+    """MPI requires nondecreasing filetype displacements; the two-phase
+    planner takes a rank's first and last extent as its access range."""
+
+    def test_decreasing_offsets_rejected(self):
+        with pytest.raises(MpiIoError, match="segment 1 starts at byte 0"):
+            FileView(0, BYTE, Indexed([2, 2], [6, 0], BYTE))
+
+    def test_overlapping_segments_rejected(self):
+        with pytest.raises(MpiIoError, match="segment 1 starts at byte 2, before byte 3"):
+            FileView(0, BYTE, Indexed([3, 2], [0, 2], BYTE))
+
+    def test_negative_segment_offset_rejected(self):
+        with pytest.raises(MpiIoError, match="segment 0 starts at byte -2"):
+            FileView(8, BYTE, Contiguous(4, BYTE).resized(2, 8))
+
+    def test_tiles_that_overlap_rejected(self):
+        # 8 data bytes tiled every 4 bytes: tile 1 would start inside tile 0
+        with pytest.raises(MpiIoError, match="next tile"):
+            FileView(0, BYTE, Contiguous(8, BYTE).resized(0, 4))
+
+    def test_monotone_views_accepted(self):
+        FileView(0, BYTE, Indexed([2, 2], [0, 6], BYTE))
+        FileView(0, BYTE, Indexed([2, 2], [0, 2], BYTE))  # touching is fine
+        FileView(0, BYTE, Contiguous(4, BYTE).resized(0, 4))
+
+    def test_set_view_rejects_non_monotone_filetype(self):
+        from repro.mpiio import MpiFile
+        from tests.conftest import run_small
+
+        def main(env):
+            fh = yield from MpiFile.open(env, "f")
+            try:
+                yield from fh.set_view(0, BYTE, Indexed([2, 2], [6, 0], BYTE))
+            except MpiIoError as exc:
+                return str(exc)
+            finally:
+                yield from fh.close()
+
+        res = run_small(2, main)
+        assert all("non-monotone filetype" in r for r in res.returns)
+
+
+# ----------------------------------------------------------------------
+# differential tests against a per-byte oracle
+# ----------------------------------------------------------------------
+
+
+def oracle_pieces(view, stream_pos, nbytes):
+    """Map the stream one byte at a time, then merge file-adjacent bytes."""
+    tile_bytes = [off + j for off, ln in view.filetype.segments for j in range(ln)]
+    size, extent = view.filetype.size, view.filetype.extent
+    out = []
+    for mem in range(nbytes):
+        tile, within = divmod(stream_pos + mem, size)
+        byte = view.displacement + tile * extent + tile_bytes[within]
+        if out and out[-1][1] == byte:
+            out[-1][1] = byte + 1
+        else:
+            out.append([byte, byte + 1, mem])
+    return [(Extent(lo, hi), mem) for lo, hi, mem in out]
+
+
+@st.composite
+def filetypes(draw):
+    """Contiguous, BYTE, Vector, Indexed-with-holes and Resized filetypes."""
+    kind = draw(st.sampled_from(["byte", "contig", "vector", "indexed", "resized"]))
+    etype = draw(st.sampled_from([BYTE, Contiguous(2, BYTE), INT]))
+    if kind == "byte":
+        return BYTE, BYTE
+    if kind == "contig":
+        return etype, Contiguous(draw(st.integers(1, 5)), etype)
+    if kind == "vector":
+        bl = draw(st.integers(1, 3))
+        stride = draw(st.integers(bl, bl + 3))
+        return etype, Vector(draw(st.integers(1, 5)), bl, stride, etype)
+    if kind == "indexed":
+        n = draw(st.integers(1, 4))
+        lengths = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        if sum(lengths) == 0:
+            lengths[0] = 1
+        gaps = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        disps, pos = [], 0
+        for ln, gap in zip(lengths, gaps):
+            pos += gap
+            disps.append(pos)
+            pos += ln
+        return etype, Indexed(lengths, disps, etype)
+    inner = Indexed([1, 2], [0, 3], etype)
+    lb = draw(st.integers(-4, 0))  # shift the data right, never left of 0
+    return etype, inner.resized(lb, inner.extent - lb + draw(st.integers(0, 8)))
+
+
+class TestMappingMatchesByteOracle:
+    @given(filetypes(), st.integers(0, 64), st.data())
+    def test_map_pieces_and_extents(self, types, displacement, data):
+        etype, filetype = types
+        view = FileView(displacement, etype, filetype)
+        tile = filetype.size
+        pos = data.draw(st.integers(0, 4 * tile))
+        nbytes = data.draw(st.integers(0, 5 * tile))
+        expected = oracle_pieces(view, pos, nbytes)
+        pieces = view.map_pieces(pos, nbytes)
+        assert pieces == expected
+        if view.is_contiguous:
+            assert len(pieces) <= 1
+        assert view.map_extents(pos, nbytes) == [ext for ext, _ in expected]
+

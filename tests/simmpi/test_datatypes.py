@@ -223,3 +223,54 @@ class TestDatatypeProperties:
         unpack(stream, dst, t, 1)
         for off, length in t.segments:
             assert bytes(dst[off : off + length]) == bytes(src[off : off + length])
+
+
+def typemap_bytes(t):
+    """The typemap's byte offsets in order, built element by element."""
+    if isinstance(t, Contiguous):
+        inner = typemap_bytes(t.base)
+        return [i * t.base.extent + b for i in range(t.count) for b in inner]
+    if isinstance(t, (Vector, Hvector)):
+        inner = typemap_bytes(t.base)
+        step = t.stride * t.base.extent if isinstance(t, Vector) else t.stride_bytes
+        return [
+            i * step + j * t.base.extent + b
+            for i in range(t.count)
+            for j in range(t.blocklength)
+            for b in inner
+        ]
+    if isinstance(t, Indexed):
+        inner = typemap_bytes(t.base)
+        return [
+            (d + j) * t.base.extent + b
+            for ln, d in zip(t.blocklengths, t.displacements)
+            for j in range(ln)
+            for b in inner
+        ]
+    return list(range(t.size))
+
+
+@st.composite
+def repeated_types(draw):
+    base = draw(datatypes(depth=1))
+    kind = draw(st.sampled_from(["contig", "vector", "hvector"]))
+    count = draw(st.integers(0, 5))
+    if kind == "contig":
+        return Contiguous(count, base)
+    blocklength = draw(st.integers(0, 3))
+    if kind == "vector":
+        return Vector(count, blocklength, draw(st.integers(blocklength, blocklength + 3)), base)
+    stride = draw(st.integers(blocklength * base.extent, blocklength * base.extent + 9))
+    return Hvector(count, blocklength, stride, base)
+
+
+class TestFlatteningMatchesElementOracle:
+    @given(repeated_types())
+    def test_segments_are_the_merged_typemap(self, t):
+        runs = []
+        for b in typemap_bytes(t):
+            if runs and runs[-1][0] + runs[-1][1] == b:
+                runs[-1][1] += 1
+            else:
+                runs.append([b, 1])
+        assert t.segments == tuple((off, ln) for off, ln in runs)

@@ -13,12 +13,12 @@ and checks the family's invariants. The three families:
   rank at a drawn protocol step and must complete degraded: survivor
   bytes identical to the crash-free reference outside the victim's
   uncommitted region, fsck clean, at least one survive round recorded
-  (:func:`repro.crash.harness.run_survive_cell`).
+  (the ``survive`` column of :func:`repro.crash.harness.run_cell`).
 * ``server-failover`` — a delegate I/O-server session with
   ``IoServerConfig.failover`` loses one delegate at a drawn ``srv-*``
   step and must complete with the final image byte-identical to the
   analytic oracle — client-side replay loses *nothing*
-  (:func:`repro.crash.harness.run_server_survive_cell`).
+  (the ``server-survive`` column of :func:`repro.crash.harness.run_cell`).
 
 Everything is a pure function of the root seed: the drawn parameters,
 the virtual-clock schedules, the final bytes, and the metrics document
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from repro.util.errors import ReproError
@@ -233,45 +234,38 @@ def _iterate_tenancy(out: IterationOutcome) -> None:
     )
 
 
-def _iterate_tcio_survive(out: IterationOutcome) -> None:
-    """FT TCIO: one rank dies at a drawn step, the job completes."""
-    from repro.crash.harness import STEPS, run_survive_cell
+def _iterate_survive(
+    out: IterationOutcome, column: str, victims: tuple[int, ...], **shape
+) -> None:
+    """One rank of a fault-tolerant *column* dies at a drawn step; the
+    job completes. *victims* are the drawable ranks, *shape* the run's."""
+    from repro.crash.harness import COLUMNS, run_cell
 
     s = out.seed
-    step = STEPS[derive_seed(s, "step") % len(STEPS)]
-    victim = derive_seed(s, "victim") % 4
+    steps = COLUMNS[column].steps
+    step = steps[derive_seed(s, "step") % len(steps)]
+    victim = victims[derive_seed(s, "victim") % len(victims)]
     out.params = {"step": step, "victim": victim}
-    cell = run_survive_cell(
-        step, nranks=4, cores_per_node=2,
-        seed=derive_seed(s, "plan") % (1 << 31), victim=victim,
+    cell = run_cell(
+        column, step, seed=derive_seed(s, "plan") % (1 << 31),
+        victim=victim, **shape,
     )
     if not cell.ok:
-        out.violations.append(f"survive cell failed: {cell.detail}")
-    out.detail = f"step={step} victim={victim} {cell.detail}"
-
-
-def _iterate_server_failover(out: IterationOutcome) -> None:
-    """Failover ioserver: one delegate dies, the session completes."""
-    from repro.crash.harness import SERVER_STEPS, run_server_survive_cell
-
-    s = out.seed
-    step = SERVER_STEPS[derive_seed(s, "step") % len(SERVER_STEPS)]
-    # The small shape has delegates (0, 2); draw which one dies.
-    victim = (0, 2)[derive_seed(s, "victim") % 2]
-    out.params = {"step": step, "victim": victim}
-    cell = run_server_survive_cell(
-        step, nclients=4, nranks=4, cores_per_node=2,
-        seed=derive_seed(s, "plan") % (1 << 31), victim=victim,
-    )
-    if not cell.ok:
-        out.violations.append(f"failover cell failed: {cell.detail}")
+        out.violations.append(f"{column} cell failed: {cell.detail}")
     out.detail = f"step={step} victim={victim} {cell.detail}"
 
 
 _RUNNERS = {
     "tenancy": _iterate_tenancy,
-    "tcio-survive": _iterate_tcio_survive,
-    "server-failover": _iterate_server_failover,
+    "tcio-survive": partial(
+        _iterate_survive, column="survive", victims=(0, 1, 2, 3),
+        nranks=4, cores_per_node=2,
+    ),
+    # The small server shape has delegates (0, 2); draw which one dies.
+    "server-failover": partial(
+        _iterate_survive, column="server-survive", victims=(0, 2),
+        nclients=4, nranks=4, cores_per_node=2,
+    ),
 }
 
 

@@ -157,17 +157,9 @@ def cmd_faults(args) -> int:
     from repro.faults.runner import run_crash_campaign, run_faulted
 
     if args.crash_at is not None:
-        if args.ft:
-            from repro.crash.harness import STEPS, run_survive_matrix
-
-            steps = STEPS if args.crash_at == "each-step" else (args.crash_at,)
-            matrix = run_survive_matrix(
-                steps=steps, nranks=args.crash_procs, seed=args.seed
-            )
-            print(matrix.render())
-            return 0 if matrix.ok else 1
         return run_crash_campaign(
-            args.crash_at, seed=args.seed, procs=args.crash_procs
+            "survive" if args.ft else "crash", args.crash_at,
+            seed=args.seed, nranks=args.crash_procs,
         )
     return run_faulted(
         args.target,
@@ -222,21 +214,12 @@ def cmd_ioserver(args) -> int:
     )
 
     if args.crash_step is not None:
-        from repro.crash.harness import (
-            SERVER_STEPS,
-            run_server_crash_matrix,
-            run_server_survive_matrix,
-        )
+        from repro.faults.runner import run_crash_campaign
 
-        steps = (
-            SERVER_STEPS if args.crash_step == "each-step" else (args.crash_step,)
+        return run_crash_campaign(
+            "server-survive" if args.failover else "server-crash",
+            args.crash_step, seed=args.seed,
         )
-        if args.failover:
-            matrix = run_server_survive_matrix(steps=steps, seed=args.seed)
-        else:
-            matrix = run_server_crash_matrix(steps=steps, seed=args.seed)
-        print(matrix.render())
-        return 0 if matrix.ok else 1
 
     if args.trace_in:
         trace = load_trace(args.trace_in)

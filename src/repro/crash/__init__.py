@@ -11,17 +11,16 @@ the crash-differential harness that ties them together. See
 
 from repro.crash.fsck import CrashContext, FsckReport, fsck
 from repro.crash.harness import (
+    COLUMNS,
     STEPS,
+    Column,
     CrashCell,
     CrashMatrixResult,
+    aim,
+    check_cell,
     crash_free_reference,
-    run_crash_cell,
-    run_crash_matrix,
-    run_journal_off_cell,
-    run_server_survive_cell,
-    run_server_survive_matrix,
-    run_survive_cell,
-    run_survive_matrix,
+    run_cell,
+    run_matrix,
 )
 from repro.crash.journal import (
     JournalRecord,
@@ -35,6 +34,8 @@ from repro.crash.journal import (
 from repro.crash.recover import RecoveryReport, recover
 
 __all__ = [
+    "COLUMNS",
+    "Column",
     "CrashCell",
     "CrashContext",
     "CrashMatrixResult",
@@ -42,6 +43,8 @@ __all__ = [
     "JournalRecord",
     "RecoveryReport",
     "STEPS",
+    "aim",
+    "check_cell",
     "commit_name",
     "committed_state",
     "crash_free_reference",
@@ -51,11 +54,6 @@ __all__ = [
     "rank_journal",
     "read_commits",
     "recover",
-    "run_crash_cell",
-    "run_crash_matrix",
-    "run_journal_off_cell",
-    "run_server_survive_cell",
-    "run_server_survive_matrix",
-    "run_survive_cell",
-    "run_survive_matrix",
+    "run_cell",
+    "run_matrix",
 ]

@@ -1,32 +1,40 @@
 """The crash-differential harness: kill a rank at every protocol step.
 
-One *cell* of the matrix runs a fixed two-phase TCIO workload (phase 1
-writes a low region, ``tcio_flush`` commits epoch 1, phase 2 writes a
-disjoint higher region, ``tcio_close`` commits epoch 2), crashes one rank
-at a chosen protocol step, recovers the surviving PFS image with
-:func:`repro.crash.recover.recover`, and checks the result byte-for-byte
-against a crash-free reference run:
+One *cell* runs a workload, crashes one victim rank at a chosen protocol
+step (:func:`aim`), and judges the outcome against an oracle image
+(:func:`check_cell`). :data:`COLUMNS` is the matrix — five rows of
+(workload, journal label, expectation, steps), all run by
+:func:`run_cell` / :func:`run_matrix`:
 
-* crash at ``pre-deposit`` / ``post-deposit`` / ``mid-flush`` /
-  ``pre-commit`` (all during epoch 2, the last occurrence of the step)
-  → the recovered file must equal the crash-free file truncated to the
-  epoch-1 eof — phase 2 is gone, phase 1 is intact;
-* crash at ``post-commit`` → epoch 2 committed first, so the recovered
-  file must equal the full crash-free file.
+* ``crash`` / ``server-crash`` — abort+recover: the job aborts,
+  :func:`~repro.crash.recover.recover` replays the committed journals,
+  and the file must equal the oracle truncated to the last committed
+  epoch (the prior epoch for a crash before the final commit mark, the
+  full image after it) with nothing flagged ``faults.data_at_risk``;
+* ``journal-off`` — the same crash without a journal loses deposited
+  bytes, and fsck (fed the aborted run's in-memory directory as a
+  :class:`~repro.crash.fsck.CrashContext`) must detect them;
+* ``survive`` — ``TcioConfig.ft`` on: the job completes with the victim
+  dead, only the victim's uncommitted phase-2 region may read zero
+  (its level-1-only data is legitimately lost), and a ``post-commit``
+  crash loses nothing;
+* ``server-survive`` — ``IoServerConfig.failover`` on: the job
+  completes and client-side replay loses nothing.
 
-Each cell also runs :func:`repro.crash.fsck.fsck` on the recovered image
-and requires it *clean* (zero torn, zero untracked bytes).
+The ``tcio`` workload is a two-phase TCIO job (phase 1 writes a low
+region, ``tcio_flush`` commits epoch 1, phase 2 writes a disjoint higher
+region, ``tcio_close`` commits epoch 2) checked against a crash-free
+reference run; ``server`` is a delegate I/O-server session over a dense
+write-only trace, checked against the analytic
+:func:`~repro.ioserver.trace.expected_image`. Every cell also demands
+that exactly the victim died and, bar ``journal-off``, a *clean* fsck
+(zero torn, zero untracked bytes).
 
 Crashes are aimed deterministically: a crash-free *counting run* with an
 idle :class:`~repro.faults.plan.FaultPlan` tallies how often the victim
-rank reaches each step (``plan.step_hits``), and the armed run sets
+reaches each step (``plan.step_hits``), and the armed run sets
 ``crash_after`` to that count — the last occurrence, which falls in the
-close-time epoch. Same seed + same spec → same crash, every time.
-
-A final ``journal="off"`` cell shows what the journal buys: the same
-crash without it loses deposited bytes, and fsck (fed the aborted run's
-in-memory directory as a :class:`~repro.crash.fsck.CrashContext`) must
-detect and report them.
+final epoch. Same seed + same spec → same crash, every time.
 """
 
 from __future__ import annotations
@@ -46,8 +54,57 @@ STEPS = ("pre-deposit", "post-deposit", "mid-flush", "pre-commit", "post-commit"
 #: epoch-2 commit mark is durable).
 ROLLBACK_STEPS = ("pre-deposit", "post-deposit", "mid-flush", "pre-commit")
 
+#: Server-mode protocol steps a delegate can die at: the service-loop
+#: steps plus the journaled commit bracket that fires inside the
+#: delegate's own TCIO flush. (``srv-close`` fires after the last epoch
+#: committed, so like ``post-commit`` it must recover the full image.)
+SERVER_STEPS = (
+    "srv-admit", "srv-apply", "srv-flush", "pre-commit",
+    "post-commit", "srv-close",
+)
+
+#: Server-mode steps whose last occurrence lands before the final
+#: epoch's commit mark — recovery must roll back to the prior epoch.
+SERVER_ROLLBACK_STEPS = ("srv-admit", "srv-apply", "srv-flush", "pre-commit")
+
 SEGMENT = 64  # small segments: every rank owns several, deposits go remote
 PER_RANK = 96  # per-rank bytes per phase; crosses a segment boundary
+
+#: Default (ranks, cores per node) of each workload.
+_SHAPES = {"tcio": (4, 2), "server": (6, 3)}
+
+#: The run counters :func:`check_cell` reads.
+COUNTERS = (
+    "faults.data_at_risk", "tcio.ft.survives",
+    "ioserver.failover.redirects", "ioserver.failover.replayed_bytes",
+)
+
+
+@dataclass(frozen=True)
+class Column:
+    """One column of the crash matrix (see module doc).
+
+    *journal* is the :attr:`CrashCell.journal` label — ``"+ft"`` arms
+    ``TcioConfig.ft`` / ``IoServerConfig.failover``; *expect* is
+    ``"recover"``, ``"detect"`` or ``"survive"``; *modes* are the
+    aggregation labels :func:`run_matrix` sweeps.
+    """
+
+    workload: str
+    journal: str
+    expect: str
+    steps: tuple[str, ...]
+    modes: tuple[str, ...] = ("flat",)
+
+
+COLUMNS = {
+    "crash": Column("tcio", "epoch", "recover", STEPS, ("flat", "node")),
+    # post-deposit: the only close-time step that exists unjournaled
+    "journal-off": Column("tcio", "off", "detect", ("post-deposit",)),
+    "survive": Column("tcio", "epoch+ft", "survive", STEPS),
+    "server-crash": Column("server", "epoch", "recover", SERVER_STEPS, ("server",)),
+    "server-survive": Column("server", "epoch+ft", "survive", SERVER_STEPS, ("server",)),
+}
 
 
 def _pattern(rank: int, phase: int, n: int) -> bytes:
@@ -64,35 +121,49 @@ def _make_config(nranks: int, journal: str, aggregation: str):
     return replace(base, journal=journal, aggregation=aggregation)
 
 
-def _make_main(name: str, config):
-    """The two-phase workload body (one closure per run)."""
+def _run(name, config, nranks, cores_per_node, faults=None):
+    """One run of the two-phase tcio workload (see module doc)."""
+    from repro.experiments.topo_ablation import ablation_cluster
+    from repro.simmpi import run_mpi
     from repro.tcio import TCIO_WRONLY, tcio_close, tcio_flush, tcio_open, tcio_write_at
 
     def main(env):
-        nranks = env.size
         fh = yield from tcio_open(env, name, TCIO_WRONLY, config)
-        yield from tcio_write_at(
-            fh, env.rank * PER_RANK, _pattern(env.rank, 1, PER_RANK)
-        )
+        yield from tcio_write_at(fh, env.rank * PER_RANK, _pattern(env.rank, 1, PER_RANK))
         yield from tcio_flush(fh)  # epoch 1: phase-1 region durable
-        base = nranks * PER_RANK
+        base = env.size * PER_RANK
         yield from tcio_write_at(
             fh, base + env.rank * PER_RANK, _pattern(env.rank, 2, PER_RANK)
         )
         yield from tcio_close(fh)  # epoch 2: phase-2 region durable
 
-    return main
+    cluster = ablation_cluster(nranks, cores_per_node)
+    return run_mpi(nranks, main, cluster=cluster, faults=faults)
 
 
-def _run(name, config, nranks, cores_per_node, faults=None):
-    from repro.experiments.topo_ablation import ablation_cluster
-    from repro.simmpi import run_mpi
+def crash_free_reference(
+    *, aggregation: str = "flat", nranks: int = 4, cores_per_node: int = 2
+) -> bytes:
+    """The full crash-free file image (journaled run, same workload)."""
+    config = _make_config(nranks, "epoch", aggregation)
+    result = _run("ref.dat", config, nranks, cores_per_node)
+    if result.aborted is not None:
+        raise RuntimeError(f"reference run aborted: {result.aborted}")
+    return result.pfs.lookup("ref.dat").contents()
 
-    return run_mpi(
-        nranks,
-        _make_main(name, config),
-        cluster=ablation_cluster(nranks, cores_per_node),
-        faults=faults,
+
+def server_trace(seed: int, nclients: int):
+    """The server workload's trace.
+
+    Writes only (a read phase would push the last srv-* hits past every
+    commit, degenerating the rollback cells) and dense (fsck cannot tell
+    a sparse hole from an untracked byte).
+    """
+    from repro.ioserver import generate_trace
+
+    return generate_trace(
+        seed, nclients, epochs=2, writes_per_epoch=3,
+        reads_per_client=0, dense=True,
     )
 
 
@@ -137,540 +208,223 @@ class CrashMatrixResult:
         return "\n".join(lines)
 
 
-def _count_step_hits(config, nranks, cores_per_node, seed, step, victim) -> int:
-    """Crash-free counting run: how often *victim* reaches *step*."""
-    from repro.faults import FaultPlan, FaultSpec
+@dataclass
+class Shot:
+    """One aimed crash: the counting run's tally and the armed run."""
 
-    plan = FaultPlan(FaultSpec(), seed, scope="crash-count")
-    _run("count.dat", config, nranks, cores_per_node, faults=plan)
-    return plan.step_hits[(step, victim)]
-
-
-def run_crash_cell(
-    step: str,
-    *,
-    aggregation: str = "flat",
-    nranks: int = 4,
-    cores_per_node: int = 2,
-    seed: int = 7,
-    victim: int = 1,
-    reference: Optional[bytes] = None,
-) -> CrashCell:
-    """Run one journaled crash-differential cell (see module doc)."""
-    from repro.faults import FaultPlan, FaultSpec
-
-    name = "crash.dat"
-    config = _make_config(nranks, "epoch", aggregation)
-    if reference is None:
-        reference = crash_free_reference(
-            aggregation=aggregation, nranks=nranks, cores_per_node=cores_per_node
-        )
-    hits = _count_step_hits(config, nranks, cores_per_node, seed, step, victim)
-    if hits == 0:
-        return CrashCell(
-            step, aggregation, "epoch", False,
-            f"rank {victim} never reaches step", 0, False,
-        )
-
-    spec = FaultSpec(crash_rank=victim, crash_step=step, crash_after=hits)
-    plan = FaultPlan(spec, seed, scope="crash")
-    result = _run(name, config, nranks, cores_per_node, faults=plan)
-    if result.aborted is None:
-        return CrashCell(
-            step, aggregation, "epoch", False, "job did not abort", hits, False
-        )
-
-    report = recover(result.pfs, name)
-    check = fsck(
-        result.pfs, name, context=CrashContext.from_world(result.world, name)
-    )
-    eof_phase1 = nranks * PER_RANK
-    expected = reference[:eof_phase1] if step in ROLLBACK_STEPS else reference
-    recovered = result.pfs.lookup(name).contents()
-    ok = recovered == expected and check.clean
-    if recovered != expected:
-        detail = (
-            f"recovered image mismatch ({len(recovered)}b vs "
-            f"{len(expected)}b expected)"
-        )
-    elif not check.clean:
-        detail = check.summary()
-    else:
-        detail = (
-            f"epoch {report.committed_epoch} recovered, "
-            f"{report.replayed_bytes}b replayed, "
-            f"{report.skipped_uncommitted} uncommitted + "
-            f"{report.torn_records} torn discarded, fsck clean"
-        )
-    return CrashCell(
-        step, aggregation, "epoch", ok, detail, hits, True,
-        recovery=report, fsck=check,
-    )
+    victim: int
+    name: str  # the file the armed run writes
+    hits: int  # how often the victim reached the step, crash-free
+    nranks: int
+    cores_per_node: int
+    trace: object = None  # the server workload's trace
+    #: The armed run (``None`` when ``hits == 0``): ``MpiRunResult`` for
+    #: tcio, ``IoServerResult`` for server; ``mpi`` is the former either way.
+    result: object = None
+    mpi: object = None
 
 
-def run_survive_cell(
-    step: str,
-    *,
-    nranks: int = 4,
-    cores_per_node: int = 2,
-    seed: int = 7,
-    victim: int = 1,
-    reference: Optional[bytes] = None,
-) -> CrashCell:
-    """One survive-and-complete cell: same crash, ``TcioConfig.ft`` on.
+def _shape(col: Column, nranks, cores_per_node) -> tuple[int, int]:
+    ranks, cores = _SHAPES[col.workload]
+    nranks = ranks if nranks is None else nranks
+    return nranks, cores if cores_per_node is None else cores_per_node
 
-    The differential flips: instead of abort→recover→compare, the job
-    must *complete* (``aborted is None``) with the victim dead, the file
-    must match the crash-free reference everywhere outside the victim's
-    uncommitted region (inside it, a byte is either the reference value
-    or zero — the victim's level-1-only data is legitimately lost), and
-    fsck must come back clean with no offline recovery pass at all. A
-    ``post-commit`` crash demands full byte-identity: the victim's
-    records were committed, so the survivors replay them.
+
+def aim(
+    column: str, step: str, *, aggregation: str = "flat",
+    nranks: Optional[int] = None, cores_per_node: Optional[int] = None,
+    nclients: int = 6, seed: int = 7, victim: Optional[int] = None, trace=None,
+) -> Shot:
+    """Counting run, then the armed run crashing *victim* at *step*.
+
+    Shapes default per workload: tcio 4 ranks × 2 cores, victim 1;
+    server *nclients* over 6 ranks × 3 cores, victim the last delegate
+    (``ValueError`` for a rank that is not a delegate).
     """
     from repro.faults import FaultPlan, FaultSpec
 
-    name = "survive.dat"
-    config = replace(_make_config(nranks, "epoch", "flat"), ft=True)
-    if reference is None:
-        reference = crash_free_reference(
-            aggregation="flat", nranks=nranks, cores_per_node=cores_per_node
-        )
-    hits = _count_step_hits(config, nranks, cores_per_node, seed, step, victim)
-    if hits == 0:
-        return CrashCell(
-            step, "flat", "epoch+ft", False,
-            f"rank {victim} never reaches step", 0, False,
-        )
+    col = COLUMNS[column]
+    nranks, cores = _shape(col, nranks, cores_per_node)
+    survive = col.expect == "survive"
+    if col.workload == "tcio":
+        journal = col.journal.removesuffix("+ft")
+        config = replace(_make_config(nranks, journal, aggregation), ft=survive)
+        victim = 1 if victim is None else victim
+        name, count_name = ("survive.dat" if survive else "crash.dat"), "count.dat"
 
-    spec = FaultSpec(crash_rank=victim, crash_step=step, crash_after=hits)
-    plan = FaultPlan(spec, seed, scope="crash")
-    result = _run(name, config, nranks, cores_per_node, faults=plan)
-    if result.aborted is not None:
-        return CrashCell(
-            step, "flat", "epoch+ft", False,
-            f"FT run aborted anyway: {result.aborted}", hits, True,
-        )
-    if result.dead_ranks != {victim}:
-        return CrashCell(
-            step, "flat", "epoch+ft", False,
-            f"unexpected dead set {sorted(result.dead_ranks)}", hits, False,
-        )
-    check = fsck(
-        result.pfs, name, context=CrashContext.from_world(result.world, name)
-    )
-    survived = result.pfs.lookup(name).contents()
-    base = nranks * PER_RANK
-    lo, hi = base + victim * PER_RANK, base + (victim + 1) * PER_RANK
-    strict = step == "post-commit"
-    bad = -1
-    if len(survived) != len(reference):
-        bad = min(len(survived), len(reference))
+        def run(fname, faults):
+            return _run(fname, config, nranks, cores, faults=faults)
+
     else:
-        for i in range(len(reference)):
-            if survived[i] == reference[i]:
-                continue
-            if not strict and lo <= i < hi and survived[i] == 0:
-                continue  # the victim's uncommitted data: lost, not corrupt
-            bad = i
-            break
-    survives = int(result.trace.get("tcio.ft.survives").total)
-    ok = bad < 0 and check.clean and survives >= 1
-    if bad >= 0:
-        detail = (
-            f"survivor image diverges at byte {bad} "
-            f"({len(survived)}b vs {len(reference)}b reference)"
-        )
-    elif not check.clean:
-        detail = check.summary()
-    elif survives < 1:
-        detail = "run completed but no survive round was recorded"
-    else:
-        lost = sum(
-            1 for i in range(lo, min(hi, len(survived))) if survived[i] == 0
-        )
-        detail = (
-            f"completed degraded ({survives} survive round(s)), "
-            f"{lost}b of the victim's uncommitted data lost, fsck clean"
-        )
-    return CrashCell(
-        step, "flat", "epoch+ft", ok, detail, hits, False, fsck=check,
-    )
+        from repro.ioserver import IoServerConfig, plan_for, run_ioserver
 
+        trace = server_trace(seed, nclients) if trace is None else trace
+        config = IoServerConfig(failover=survive)
+        delegates = plan_for(trace, nranks, cores, config).delegates
+        victim = delegates[-1] if victim is None else victim
+        if victim not in delegates:
+            raise ValueError(f"victim rank {victim} is not a delegate")
+        name = count_name = trace.file_name
 
-def run_survive_matrix(
-    *,
-    steps=STEPS,
-    nranks: int = 4,
-    cores_per_node: int = 2,
-    seed: int = 7,
-    victim: int = 1,
-) -> CrashMatrixResult:
-    """The survive column: every protocol step, FT on, job must complete."""
-    out = CrashMatrixResult(nranks=nranks, seed=seed)
-    reference = crash_free_reference(
-        aggregation="flat", nranks=nranks, cores_per_node=cores_per_node
-    )
-    for step in steps:
-        out.cells.append(
-            run_survive_cell(
-                step, nranks=nranks, cores_per_node=cores_per_node,
-                seed=seed, victim=victim, reference=reference,
+        def run(fname, faults):  # the trace names the file
+            return run_ioserver(
+                trace, nranks=nranks, cores_per_node=cores,
+                config=config, faults=faults,
             )
-        )
-    return out
-
-
-def run_journal_off_cell(
-    *,
-    aggregation: str = "flat",
-    nranks: int = 4,
-    cores_per_node: int = 2,
-    seed: int = 7,
-    victim: int = 1,
-) -> CrashCell:
-    """The control cell: same crash, no journal — fsck must report loss."""
-    from repro.faults import FaultPlan, FaultSpec
-
-    name = "crash.dat"
-    step = "post-deposit"  # the only close-time step that exists unjournaled
-    config = _make_config(nranks, "off", aggregation)
-    hits = _count_step_hits(config, nranks, cores_per_node, seed, step, victim)
-    if hits == 0:
-        return CrashCell(
-            step, aggregation, "off", False,
-            f"rank {victim} never reaches step", 0, False,
-        )
-    spec = FaultSpec(crash_rank=victim, crash_step=step, crash_after=hits)
-    plan = FaultPlan(spec, seed, scope="crash")
-    result = _run(name, config, nranks, cores_per_node, faults=plan)
-    if result.aborted is None:
-        return CrashCell(
-            step, aggregation, "off", False, "job did not abort", hits, False
-        )
-    check = fsck(
-        result.pfs, name, context=CrashContext.from_world(result.world, name)
-    )
-    ok = check.lost_bytes > 0
-    detail = (
-        f"{check.lost_bytes}b lost detected (no journal to recover from)"
-        if ok
-        else "expected lost bytes, fsck found none"
-    )
-    return CrashCell(step, aggregation, "off", ok, detail, hits, True, fsck=check)
-
-
-def crash_free_reference(
-    *, aggregation: str = "flat", nranks: int = 4, cores_per_node: int = 2
-) -> bytes:
-    """The full crash-free file image (journaled run, same workload)."""
-    config = _make_config(nranks, "epoch", aggregation)
-    result = _run("ref.dat", config, nranks, cores_per_node)
-    if result.aborted is not None:
-        raise RuntimeError(f"reference run aborted: {result.aborted}")
-    return result.pfs.lookup("ref.dat").contents()
-
-
-#: Server-mode protocol steps a delegate can die at: the service-loop
-#: steps plus the journaled commit bracket that fires inside the
-#: delegate's own TCIO flush. (``srv-close`` fires after the last epoch
-#: committed, so like ``post-commit`` it must recover the full image.)
-SERVER_STEPS = (
-    "srv-admit", "srv-apply", "srv-flush", "pre-commit",
-    "post-commit", "srv-close",
-)
-
-#: Server-mode steps whose last occurrence lands before the final
-#: epoch's commit mark — recovery must roll back to the prior epoch.
-SERVER_ROLLBACK_STEPS = ("srv-admit", "srv-apply", "srv-flush", "pre-commit")
-
-
-def run_server_crash_cell(
-    step: str,
-    *,
-    nclients: int = 6,
-    nranks: int = 6,
-    cores_per_node: int = 3,
-    seed: int = 7,
-    victim: Optional[int] = None,
-    trace=None,
-) -> CrashCell:
-    """Kill a delegate at one service-loop (or commit) step; recover.
-
-    Mirrors :func:`run_crash_cell` for ``repro.ioserver``: a crash-free
-    counting run tallies how often the victim delegate reaches *step*,
-    the armed run crashes there (last occurrence — during or after the
-    final epoch), and the recovered image must equal the analytic
-    :func:`~repro.ioserver.trace.expected_image` — full for post-commit
-    steps, the prior epoch's prefix for rollback steps. fsck must come
-    back clean and nothing may be flagged ``data_at_risk``.
-    """
-    from repro.faults import FaultPlan, FaultSpec
-    from repro.ioserver import (
-        IoServerConfig, expected_image, generate_trace, plan_for, run_ioserver,
-    )
-
-    if trace is None:
-        # Writes only (a read phase would push the last srv-* hits past
-        # every commit, degenerating the rollback cells) and dense (fsck
-        # cannot tell a sparse hole from an untracked byte).
-        trace = generate_trace(
-            seed, nclients, epochs=2, writes_per_epoch=3,
-            reads_per_client=0, dense=True,
-        )
-    config = IoServerConfig()
-    placement = plan_for(trace, nranks, cores_per_node, config)
-    if victim is None:
-        victim = placement.delegates[-1]
-    if victim not in placement.delegates:
-        raise ValueError(f"victim rank {victim} is not a delegate")
-    name = trace.file_name
 
     plan = FaultPlan(FaultSpec(), seed, scope="crash-count")
-    run_ioserver(
-        trace, nranks=nranks, cores_per_node=cores_per_node,
-        config=config, faults=plan,
+    run(count_name, plan)
+    shot = Shot(victim, name, plan.step_hits[(step, victim)], nranks, cores, trace)
+    if shot.hits:
+        spec = FaultSpec(crash_rank=victim, crash_step=step, crash_after=shot.hits)
+        shot.result = run(name, FaultPlan(spec, seed, scope="crash"))
+        shot.mpi = shot.result.mpi if col.workload == "server" else shot.result
+    return shot
+
+
+def check_cell(
+    column: str, *, image: bytes, oracle: Optional[bytes], fsck: FsckReport,
+    counters: dict, aborted, dead, victim: int, loss=(0, 0),
+    recovery: Optional[RecoveryReport] = None,
+) -> tuple[bool, str]:
+    """``(ok, detail)``: does one run's evidence meet *column*'s expectation?
+
+    A pure function of the file *image*, the *oracle* image, the allowed
+    *loss* window ``[lo, hi)`` (bytes there may read zero), the *fsck*
+    report, the *counters* (names from :data:`COUNTERS`, absent = 0), the
+    run's *aborted* cause and *dead* set; *recovery* feeds the detail.
+    """
+    col = COLUMNS[column]
+    survive = col.expect == "survive"
+    if survive and aborted is not None:
+        return False, f"fault-tolerant run aborted anyway: {aborted}"
+    if not survive and aborted is None:
+        return False, "job did not abort"
+    if set(dead) != {victim}:
+        return False, f"unexpected dead set {sorted(dead)}"
+    if col.expect == "detect":
+        if fsck.lost_bytes > 0:
+            return True, f"{fsck.lost_bytes}b lost detected (no journal to recover from)"
+        return False, "expected lost bytes, fsck found none"
+    lo, hi = loss
+    bad = next(
+        (
+            i for i, (got, want) in enumerate(zip(image, oracle))
+            if got != want and not (lo <= i < hi and got == 0)
+        ),
+        None if len(image) == len(oracle) else min(len(image), len(oracle)),
     )
-    hits = plan.step_hits[(step, victim)]
-    if hits == 0:
-        return CrashCell(
-            step, "server", "epoch", False,
-            f"delegate {victim} never reaches step", 0, False,
+    if bad is not None:
+        return False, (
+            f"image diverges at byte {bad} ({len(image)}b vs {len(oracle)}b expected)"
         )
-
-    spec = FaultSpec(crash_rank=victim, crash_step=step, crash_after=hits)
-    armed = FaultPlan(spec, seed, scope="crash")
-    result = run_ioserver(
-        trace, nranks=nranks, cores_per_node=cores_per_node,
-        config=config, faults=armed,
-    )
-    if result.aborted is None:
-        return CrashCell(
-            step, "server", "epoch", False, "job did not abort", hits, False
-        )
-
-    pfs, world = result.mpi.pfs, result.mpi.world
-    report = recover(pfs, name)
-    check = fsck(pfs, name, context=CrashContext.from_world(world, name))
-    rollback = step in SERVER_ROLLBACK_STEPS
-    expected = expected_image(trace, epochs=trace.epochs - 1 if rollback else None)
-    recovered = pfs.lookup(name).contents() if pfs.exists(name) else b""
-    at_risk = result.mpi.trace.get("faults.data_at_risk").total
-    ok = recovered == expected and check.clean and at_risk == 0
-    if recovered != expected:
-        detail = (
-            f"recovered image mismatch ({len(recovered)}b vs "
-            f"{len(expected)}b expected)"
-        )
-    elif not check.clean:
-        detail = check.summary()
-    elif at_risk:
-        detail = f"{int(at_risk)}b flagged data_at_risk in a journaled crash"
-    else:
-        detail = (
-            f"epoch {report.committed_epoch} recovered, "
-            f"{report.replayed_bytes}b replayed, "
-            f"{report.skipped_uncommitted} uncommitted + "
-            f"{report.torn_records} torn discarded, fsck clean"
-        )
-    return CrashCell(
-        step, "server", "epoch", ok, detail, hits, True,
-        recovery=report, fsck=check,
-    )
-
-
-def run_server_crash_matrix(
-    *,
-    steps=SERVER_STEPS,
-    nclients: int = 6,
-    nranks: int = 6,
-    cores_per_node: int = 3,
-    seed: int = 7,
-) -> CrashMatrixResult:
-    """The server-mode campaign: one cell per service-loop step."""
-    from repro.ioserver import generate_trace
-
-    trace = generate_trace(
-        seed, nclients, epochs=2, writes_per_epoch=3,
-        reads_per_client=0, dense=True,
-    )
-    out = CrashMatrixResult(nranks=nranks, seed=seed)
-    for step in steps:
-        out.cells.append(
-            run_server_crash_cell(
-                step, nclients=nclients, nranks=nranks,
-                cores_per_node=cores_per_node, seed=seed, trace=trace,
+    if not fsck.clean:
+        return False, fsck.summary()
+    count = {name: int(counters.get(name, 0)) for name in COUNTERS}
+    if not survive:
+        if count["faults.data_at_risk"]:
+            return False, (
+                f"{count['faults.data_at_risk']}b flagged data_at_risk "
+                f"in a journaled crash"
             )
+        return True, (
+            f"epoch {recovery.committed_epoch} recovered, "
+            f"{recovery.replayed_bytes}b replayed, "
+            f"{recovery.skipped_uncommitted} uncommitted + "
+            f"{recovery.torn_records} torn discarded, fsck clean"
         )
-    return out
-
-
-def run_server_survive_cell(
-    step: str,
-    *,
-    nclients: int = 6,
-    nranks: int = 6,
-    cores_per_node: int = 3,
-    seed: int = 7,
-    victim: Optional[int] = None,
-    trace=None,
-) -> CrashCell:
-    """Kill a delegate at one service-loop step with failover armed.
-
-    The survive column of the server matrix: same aimed crash as
-    :func:`run_server_crash_cell`, but ``IoServerConfig.failover`` is on,
-    so the job must *complete* — the dead delegate's clients redirect to
-    the standby and replay their acked-but-uncommitted writes, the
-    surviving delegates shrink the shared TCIO handle and flush on.
-    Unlike bare-TCIO survival (:func:`run_survive_cell`), client-side
-    replay means **nothing** is legitimately lost: the final image must
-    equal the full analytic :func:`~repro.ioserver.trace.expected_image`
-    byte-for-byte at *every* step, with fsck clean and no offline
-    recovery pass at all.
-    """
-    from repro.faults import FaultPlan, FaultSpec
-    from repro.ioserver import (
-        IoServerConfig, expected_image, generate_trace, plan_for, run_ioserver,
-    )
-
-    if trace is None:
-        trace = generate_trace(
-            seed, nclients, epochs=2, writes_per_epoch=3,
-            reads_per_client=0, dense=True,
-        )
-    config = IoServerConfig(failover=True)
-    placement = plan_for(trace, nranks, cores_per_node, config)
-    if victim is None:
-        victim = placement.delegates[-1]
-    if victim not in placement.delegates:
-        raise ValueError(f"victim rank {victim} is not a delegate")
-    name = trace.file_name
-
-    plan = FaultPlan(FaultSpec(), seed, scope="crash-count")
-    run_ioserver(
-        trace, nranks=nranks, cores_per_node=cores_per_node,
-        config=config, faults=plan,
-    )
-    hits = plan.step_hits[(step, victim)]
-    if hits == 0:
-        return CrashCell(
-            step, "server", "epoch+ft", False,
-            f"delegate {victim} never reaches step", 0, False,
-        )
-
-    spec = FaultSpec(crash_rank=victim, crash_step=step, crash_after=hits)
-    armed = FaultPlan(spec, seed, scope="crash")
-    result = run_ioserver(
-        trace, nranks=nranks, cores_per_node=cores_per_node,
-        config=config, faults=armed,
-    )
-    if result.aborted is not None:
-        return CrashCell(
-            step, "server", "epoch+ft", False,
-            f"failover run aborted anyway: {result.aborted}", hits, True,
-        )
-    if result.mpi.dead_ranks != {victim}:
-        return CrashCell(
-            step, "server", "epoch+ft", False,
-            f"unexpected dead set {sorted(result.mpi.dead_ranks)}", hits, False,
-        )
-    pfs, world = result.mpi.pfs, result.mpi.world
-    check = fsck(pfs, name, context=CrashContext.from_world(world, name))
-    expected = expected_image(trace)
-    survived = pfs.lookup(name).contents() if pfs.exists(name) else b""
-    survives = int(result.mpi.trace.get("tcio.ft.survives").total)
-    redirects = int(result.mpi.trace.get("ioserver.failover.redirects").total)
-    ok = survived == expected and check.clean and survives >= 1
-    if survived != expected:
-        bad = next(
-            (
-                i
-                for i in range(min(len(survived), len(expected)))
-                if survived[i] != expected[i]
-            ),
-            min(len(survived), len(expected)),
-        )
-        detail = (
-            f"survivor image diverges at byte {bad} "
-            f"({len(survived)}b vs {len(expected)}b expected)"
-        )
-    elif not check.clean:
-        detail = check.summary()
-    elif survives < 1:
-        detail = "run completed but no survive round was recorded"
-    else:
-        replayed = int(
-            result.mpi.trace.get("ioserver.failover.replayed_bytes").total
-        )
-        detail = (
+    survives = count["tcio.ft.survives"]
+    if survives < 1:
+        return False, "run completed but no survive round was recorded"
+    if col.workload == "server":
+        return True, (
             f"completed degraded ({survives} survive round(s), "
-            f"{redirects} redirect(s), {replayed}b replayed by clients), "
+            f"{count['ioserver.failover.redirects']} redirect(s), "
+            f"{count['ioserver.failover.replayed_bytes']}b replayed by clients), "
             f"image exact, fsck clean"
         )
+    return True, (
+        f"completed degraded ({survives} survive round(s)), "
+        f"{image[lo:hi].count(0)}b of the victim's uncommitted data lost, "
+        f"fsck clean"
+    )
+
+
+def run_cell(
+    column: str, step: str, *, aggregation: Optional[str] = None,
+    reference: Optional[bytes] = None, **shape,
+) -> CrashCell:
+    """Aim, run and check one cell of *column* (see module doc).
+
+    *aggregation* defaults to the column's first mode; *reference* is the
+    tcio oracle (a crash-free run when omitted); *shape* goes to :func:`aim`.
+    """
+    col = COLUMNS[column]
+    mode = aggregation or col.modes[0]
+    shot = aim(column, step, aggregation=mode, **shape)
+    if not shot.hits:
+        who = "delegate" if col.workload == "server" else "rank"
+        return CrashCell(
+            step, mode, col.journal, False,
+            f"{who} {shot.victim} never reaches step", 0, False,
+        )
+    mpi, name = shot.mpi, shot.name
+    recovery = None
+    if col.expect == "recover" and mpi.aborted is not None:
+        recovery = recover(mpi.pfs, name)
+    report = fsck(mpi.pfs, name, context=CrashContext.from_world(mpi.world, name))
+    rollback = col.expect == "recover" and step in ROLLBACK_STEPS + SERVER_ROLLBACK_STEPS
+    oracle, loss = None, (0, 0)
+    if col.workload == "server":
+        from repro.ioserver import expected_image
+
+        epochs = shot.trace.epochs - 1 if rollback else None
+        oracle = expected_image(shot.trace, epochs=epochs)
+    elif col.expect != "detect":
+        if reference is None:
+            reference = crash_free_reference(
+                aggregation=mode, nranks=shot.nranks,
+                cores_per_node=shot.cores_per_node,
+            )
+        base = shot.nranks * PER_RANK
+        oracle = reference[:base] if rollback else reference
+        if col.expect == "survive" and step != "post-commit":
+            loss = (base + shot.victim * PER_RANK, base + (shot.victim + 1) * PER_RANK)
+    ok, detail = check_cell(
+        column, image=mpi.pfs.lookup(name).contents(), oracle=oracle,
+        fsck=report, counters={key: mpi.trace.get(key).total for key in COUNTERS},
+        loss=loss, aborted=mpi.aborted, dead=mpi.dead_ranks,
+        victim=shot.victim, recovery=recovery,
+    )
     return CrashCell(
-        step, "server", "epoch+ft", ok, detail, hits, False, fsck=check,
+        step, mode, col.journal, ok, detail, shot.hits,
+        mpi.aborted is not None, recovery=recovery, fsck=report,
     )
 
 
-def run_server_survive_matrix(
-    *,
-    steps=SERVER_STEPS,
-    nclients: int = 6,
-    nranks: int = 6,
-    cores_per_node: int = 3,
-    seed: int = 7,
+def run_matrix(
+    column: str, *, steps: Optional[tuple[str, ...]] = None,
+    nranks: Optional[int] = None, cores_per_node: Optional[int] = None,
+    nclients: int = 6, seed: int = 7, victim: Optional[int] = None,
 ) -> CrashMatrixResult:
-    """The server survive column: every step, failover on, zero loss."""
-    from repro.ioserver import generate_trace
-
-    trace = generate_trace(
-        seed, nclients, epochs=2, writes_per_epoch=3,
-        reads_per_client=0, dense=True,
-    )
+    """*steps* (default: all of *column*'s) × every mode of *column*; the
+    cells share one tcio reference per mode, or one server trace."""
+    col = COLUMNS[column]
+    nranks, cores = _shape(col, nranks, cores_per_node)
+    trace = server_trace(seed, nclients) if col.workload == "server" else None
     out = CrashMatrixResult(nranks=nranks, seed=seed)
-    for step in steps:
-        out.cells.append(
-            run_server_survive_cell(
-                step, nclients=nclients, nranks=nranks,
-                cores_per_node=cores_per_node, seed=seed, trace=trace,
+    for mode in col.modes:
+        reference = None
+        if col.workload == "tcio" and col.expect != "detect":
+            reference = crash_free_reference(
+                aggregation=mode, nranks=nranks, cores_per_node=cores
             )
-        )
-    return out
-
-
-def run_crash_matrix(
-    *,
-    steps=STEPS,
-    modes=("flat", "node"),
-    nranks: int = 4,
-    cores_per_node: int = 2,
-    seed: int = 7,
-    victim: int = 1,
-    include_journal_off: bool = True,
-) -> CrashMatrixResult:
-    """The full campaign: every step × every aggregation mode."""
-    out = CrashMatrixResult(nranks=nranks, seed=seed)
-    for mode in modes:
-        reference = crash_free_reference(
-            aggregation=mode, nranks=nranks, cores_per_node=cores_per_node
-        )
-        for step in steps:
-            out.cells.append(
-                run_crash_cell(
-                    step,
-                    aggregation=mode,
-                    nranks=nranks,
-                    cores_per_node=cores_per_node,
-                    seed=seed,
-                    victim=victim,
-                    reference=reference,
-                )
+        out.cells += [
+            run_cell(
+                column, step, aggregation=mode, reference=reference,
+                nranks=nranks, cores_per_node=cores, nclients=nclients,
+                seed=seed, victim=victim, trace=trace,
             )
-    if include_journal_off:
-        out.cells.append(
-            run_journal_off_cell(
-                nranks=nranks, cores_per_node=cores_per_node,
-                seed=seed, victim=victim,
-            )
-        )
+            for step in steps or col.steps
+        ]
     return out

@@ -90,21 +90,23 @@ def run_faulted(
     return 0
 
 
-def run_crash_campaign(crash_at: str, *, seed: int = 7, procs: int = 4) -> int:
-    """``python -m repro faults --crash-at <step|each-step>``.
-
-    Runs the crash-differential matrix (docs/faults.md): kill rank 1 at
-    the named protocol step (or every step) in both aggregation modes,
-    recover, and compare against a crash-free reference; 0 when every
-    cell is byte-identical and fsck-clean.
+def run_crash_campaign(column: str, crash_at: str, *, seed: int = 7, **shape) -> int:
+    """Print *column* of the crash matrix (docs/faults.md) at *crash_at*,
+    one step or ``each-step``; the ``crash`` column adds the
+    ``journal-off`` control cell. Exit 0 when every cell holds, 1 when
+    one fails, 2 — before any simulation — for a step not in the column.
     """
-    from repro.crash import STEPS, run_crash_matrix
+    from repro.crash.harness import COLUMNS, run_matrix
 
-    if crash_at != "each-step" and crash_at not in STEPS:
-        print(f"unknown crash step {crash_at!r} (choose from {list(STEPS)})")
-        return 2
-    steps = STEPS if crash_at == "each-step" else (crash_at,)
-    matrix = run_crash_matrix(steps=steps, nranks=procs, seed=seed)
+    steps = COLUMNS[column].steps
+    if crash_at != "each-step":
+        if crash_at not in steps:
+            print(f"unknown crash step {crash_at!r} (choose from {list(steps)})")
+            return 2
+        steps = (crash_at,)
+    matrix = run_matrix(column, steps=steps, seed=seed, **shape)
+    if column == "crash":
+        matrix.cells += run_matrix("journal-off", seed=seed, **shape).cells
     print(matrix.render())
     return 0 if matrix.ok else 1
 

@@ -16,12 +16,26 @@ from repro.crash import STEPS
 from repro.crash.harness import (
     PER_RANK,
     ROLLBACK_STEPS,
+    aim,
     crash_free_reference,
-    run_crash_cell,
-    run_journal_off_cell,
+    run_cell,
 )
 
 NRANKS = 4
+
+#: Every seed-7 cell's summary line, as the crash matrix prints it.
+SUMMARIES = {
+    ("pre-deposit", "flat"): "crash@pre-deposit  flat journal=epoch: ok — epoch 1 recovered, 384b replayed, 0 uncommitted + 0 torn discarded, fsck clean",
+    ("post-deposit", "flat"): "crash@post-deposit flat journal=epoch: ok — epoch 1 recovered, 384b replayed, 0 uncommitted + 0 torn discarded, fsck clean",
+    ("mid-flush", "flat"): "crash@mid-flush    flat journal=epoch: ok — epoch 1 recovered, 384b replayed, 0 uncommitted + 2 torn discarded, fsck clean",
+    ("pre-commit", "flat"): "crash@pre-commit   flat journal=epoch: ok — epoch 1 recovered, 384b replayed, 6 uncommitted + 0 torn discarded, fsck clean",
+    ("post-commit", "flat"): "crash@post-commit  flat journal=epoch: ok — epoch 2 recovered, 768b replayed, 0 uncommitted + 0 torn discarded, fsck clean",
+    ("pre-deposit", "node"): "crash@pre-deposit  node journal=epoch: ok — epoch 1 recovered, 384b replayed, 0 uncommitted + 0 torn discarded, fsck clean",
+    ("post-deposit", "node"): "crash@post-deposit node journal=epoch: ok — epoch 1 recovered, 384b replayed, 0 uncommitted + 0 torn discarded, fsck clean",
+    ("mid-flush", "node"): "crash@mid-flush    node journal=epoch: ok — epoch 1 recovered, 384b replayed, 0 uncommitted + 2 torn discarded, fsck clean",
+    ("pre-commit", "node"): "crash@pre-commit   node journal=epoch: ok — epoch 1 recovered, 384b replayed, 6 uncommitted + 0 torn discarded, fsck clean",
+    ("post-commit", "node"): "crash@post-commit  node journal=epoch: ok — epoch 2 recovered, 768b replayed, 0 uncommitted + 0 torn discarded, fsck clean",
+}
 
 
 @pytest.fixture(scope="module")
@@ -35,11 +49,12 @@ def references():
 @pytest.mark.parametrize("mode", ["flat", "node"])
 @pytest.mark.parametrize("step", STEPS)
 def test_crash_matrix_cell(step, mode, references):
-    cell = run_crash_cell(
-        step, aggregation=mode, nranks=NRANKS, reference=references[mode]
+    cell = run_cell(
+        "crash", step, aggregation=mode, nranks=NRANKS, reference=references[mode]
     )
     assert cell.aborted, f"{step}/{mode}: job must abort on the crash"
     assert cell.ok, cell.summary()
+    assert cell.summary() == SUMMARIES[step, mode]
     assert cell.fsck is not None and cell.fsck.clean
     assert cell.fsck.torn_bytes == 0 and cell.fsck.untracked_bytes == 0
     if step in ROLLBACK_STEPS:
@@ -55,15 +70,19 @@ def test_rollback_steps_cover_everything_but_post_commit():
 
 
 def test_journal_off_crash_loses_bytes_and_fsck_reports_them():
-    cell = run_journal_off_cell(nranks=NRANKS)
+    cell = run_cell("journal-off", "post-deposit", nranks=NRANKS)
     assert cell.aborted
     assert cell.ok, cell.summary()
+    assert cell.summary() == (
+        "crash@post-deposit flat journal=off: ok — "
+        "768b lost detected (no journal to recover from)"
+    )
     assert cell.fsck.lost_bytes > 0
     assert cell.fsck.lost_extents  # attributable, not just a number
 
 
 def test_recovery_is_idempotent_and_safe_on_clean_files():
-    cell = run_crash_cell("post-commit", nranks=NRANKS)
+    cell = run_cell("crash", "post-commit", nranks=NRANKS)
     assert cell.ok, cell.summary()
     # the harness already recovered once inside the cell; the reports
     # prove a committed epoch and a clean classification
@@ -75,17 +94,9 @@ def test_recover_second_pass_is_a_noop():
     # Failover retry paths may call recover() again on a file a first
     # pass already repaired; the second pass must not touch a byte.
     from repro.crash import recover
-    from repro.crash.harness import _count_step_hits, _make_config, _run
-    from repro.faults import FaultPlan, FaultSpec
 
-    name = "crash.dat"
-    config = _make_config(NRANKS, "epoch", "flat")
-    hits = _count_step_hits(config, NRANKS, 2, 7, "mid-flush", 1)
-    plan = FaultPlan(
-        FaultSpec(crash_rank=1, crash_step="mid-flush", crash_after=hits),
-        7, scope="crash",
-    )
-    result = _run(name, config, NRANKS, 2, faults=plan)
+    shot = aim("crash", "mid-flush", nranks=NRANKS)
+    result, name = shot.result, shot.name
     assert result.aborted is not None
     first = recover(result.pfs, name)
     assert first.replayed_records > 0

@@ -16,12 +16,22 @@ import pytest
 from repro.crash.harness import (
     SERVER_ROLLBACK_STEPS,
     SERVER_STEPS,
-    run_server_crash_cell,
+    run_cell,
 )
 from repro.ioserver import expected_image, generate_trace
 
 NCLIENTS = 6
 SEED = 7
+
+#: Every seed-7 cell's summary line, as the server crash matrix prints it.
+SUMMARIES = {
+    "srv-admit": "crash@srv-admit    server journal=epoch: ok — epoch 1 recovered, 1728b replayed, 0 uncommitted + 0 torn discarded, fsck clean",
+    "srv-apply": "crash@srv-apply    server journal=epoch: ok — epoch 1 recovered, 1728b replayed, 0 uncommitted + 0 torn discarded, fsck clean",
+    "srv-flush": "crash@srv-flush    server journal=epoch: ok — epoch 1 recovered, 1728b replayed, 0 uncommitted + 0 torn discarded, fsck clean",
+    "pre-commit": "crash@pre-commit   server journal=epoch: ok — epoch 1 recovered, 1728b replayed, 27 uncommitted + 0 torn discarded, fsck clean",
+    "post-commit": "crash@post-commit  server journal=epoch: ok — epoch 2 recovered, 3456b replayed, 0 uncommitted + 0 torn discarded, fsck clean",
+    "srv-close": "crash@srv-close    server journal=epoch: ok — epoch 2 recovered, 3456b replayed, 0 uncommitted + 0 torn discarded, fsck clean",
+}
 
 
 @pytest.fixture(scope="module")
@@ -37,9 +47,10 @@ def trace():
 
 @pytest.mark.parametrize("step", SERVER_STEPS)
 def test_server_crash_cell(step, trace):
-    cell = run_server_crash_cell(step, nclients=NCLIENTS, seed=SEED, trace=trace)
+    cell = run_cell("server-crash", step, nclients=NCLIENTS, seed=SEED, trace=trace)
     assert cell.aborted, f"{step}: job must abort on the delegate crash"
     assert cell.ok, cell.summary()
+    assert cell.summary() == SUMMARIES[step]
     assert cell.fsck is not None and cell.fsck.clean
     assert cell.fsck.torn_bytes == 0 and cell.fsck.untracked_bytes == 0
     if step in SERVER_ROLLBACK_STEPS:
@@ -55,13 +66,14 @@ def test_server_crash_cell(step, trace):
 def test_counting_run_aims_at_a_real_step(trace):
     # Each cell's crash_after comes from a crash-free counting run; a
     # zero count would mean the armed run never fires. Guard the aim.
-    cell = run_server_crash_cell("srv-apply", nclients=NCLIENTS, seed=SEED,
-                                 trace=trace)
+    cell = run_cell("server-crash", "srv-apply", nclients=NCLIENTS, seed=SEED,
+                    trace=trace)
     assert cell.crash_after >= 1
 
 
 def test_unknown_victim_rejected(trace):
     with pytest.raises(ValueError):
-        run_server_crash_cell(
-            "srv-apply", nclients=NCLIENTS, seed=SEED, trace=trace, victim=1
+        run_cell(
+            "server-crash", "srv-apply", nclients=NCLIENTS, seed=SEED,
+            trace=trace, victim=1,
         )

@@ -17,9 +17,19 @@ from repro.crash import fsck
 from repro.crash.harness import (
     PER_RANK,
     STEPS,
+    aim,
     crash_free_reference,
-    run_survive_cell,
+    run_cell,
 )
+
+#: Every seed-7 cell's summary line, as the survive matrix prints it.
+SUMMARIES = {
+    "pre-deposit": "crash@pre-deposit  flat journal=epoch+ft: ok — completed degraded (3 survive round(s)), 64b of the victim's uncommitted data lost, fsck clean",
+    "post-deposit": "crash@post-deposit flat journal=epoch+ft: ok — completed degraded (3 survive round(s)), 0b of the victim's uncommitted data lost, fsck clean",
+    "mid-flush": "crash@mid-flush    flat journal=epoch+ft: ok — completed degraded (3 survive round(s)), 0b of the victim's uncommitted data lost, fsck clean",
+    "pre-commit": "crash@pre-commit   flat journal=epoch+ft: ok — completed degraded (3 survive round(s)), 0b of the victim's uncommitted data lost, fsck clean",
+    "post-commit": "crash@post-commit  flat journal=epoch+ft: ok — completed degraded (3 survive round(s)), 0b of the victim's uncommitted data lost, fsck clean",
+}
 
 
 @pytest.fixture(scope="module")
@@ -30,22 +40,23 @@ def reference() -> bytes:
 class TestSurviveCells:
     @pytest.mark.parametrize("step", STEPS)
     def test_every_step_survives(self, step, reference):
-        cell = run_survive_cell(step, reference=reference)
+        cell = run_cell("survive", step, reference=reference)
         assert cell.ok, cell.summary()
         assert not cell.aborted  # the whole point: the job completed
         assert cell.fsck is not None and cell.fsck.clean
+        assert cell.summary() == SUMMARIES[step]
 
     def test_post_commit_loses_nothing(self, reference):
         # The victim's epoch-2 records were committed before it died, so
         # the survivors replay them: full byte-identity, zero loss.
-        cell = run_survive_cell("post-commit", reference=reference)
+        cell = run_cell("survive", "post-commit", reference=reference)
         assert cell.ok, cell.summary()
         assert "0b of the victim's uncommitted data lost" in cell.detail
 
     def test_loss_is_bounded_to_the_victims_region(self, reference):
         # Even at the worst step (pre-deposit: the victim's level-1 data
         # never reached anyone), loss stays within one rank-region.
-        cell = run_survive_cell("pre-deposit", reference=reference)
+        cell = run_cell("survive", "pre-deposit", reference=reference)
         assert cell.ok, cell.summary()
         assert cell.fsck.lost_bytes <= PER_RANK
 
@@ -54,19 +65,9 @@ class TestSurvivorFlushByHand:
     """Direct (non-harness) runs pinning the mechanism itself."""
 
     def _run(self, step, *, nranks=4, seed=7, victim=1):
-        from dataclasses import replace
-
-        from repro.crash.harness import _make_config, _run
-        from repro.faults import FaultPlan, FaultSpec
-
-        config = replace(_make_config(nranks, "epoch", "flat"), ft=True)
-        count = FaultPlan(FaultSpec(), seed, scope="crash-count")
-        _run("count.dat", config, nranks, 2, faults=count)
-        hits = count.step_hits[(step, victim)]
-        assert hits > 0
-        spec = FaultSpec(crash_rank=victim, crash_step=step, crash_after=hits)
-        plan = FaultPlan(spec, seed, scope="crash")
-        return _run("survive.dat", config, nranks, 2, faults=plan)
+        shot = aim("survive", step, nranks=nranks, seed=seed, victim=victim)
+        assert shot.hits > 0
+        return shot.result
 
     def test_completed_run_reports_no_abort(self):
         result = self._run("post-deposit")

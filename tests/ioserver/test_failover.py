@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.crash.harness import SERVER_STEPS, run_server_survive_cell
+from repro.crash.harness import SERVER_STEPS, aim, run_cell
 from repro.ioserver import (
     IoServerConfig,
     Placement,
@@ -28,6 +28,16 @@ from repro.util.errors import IoServerError
 
 NCLIENTS = 6
 SEED = 7
+
+#: Every seed-7 cell's summary line, as the server survive matrix prints it.
+SUMMARIES = {
+    "srv-admit": "crash@srv-admit    server journal=epoch+ft: ok — completed degraded (1 survive round(s), 2 redirect(s), 480b replayed by clients), image exact, fsck clean",
+    "srv-apply": "crash@srv-apply    server journal=epoch+ft: ok — completed degraded (1 survive round(s), 2 redirect(s), 480b replayed by clients), image exact, fsck clean",
+    "srv-flush": "crash@srv-flush    server journal=epoch+ft: ok — completed degraded (1 survive round(s), 2 redirect(s), 576b replayed by clients), image exact, fsck clean",
+    "pre-commit": "crash@pre-commit   server journal=epoch+ft: ok — completed degraded (2 survive round(s), 2 redirect(s), 576b replayed by clients), image exact, fsck clean",
+    "post-commit": "crash@post-commit  server journal=epoch+ft: ok — completed degraded (1 survive round(s), 2 redirect(s), 576b replayed by clients), image exact, fsck clean",
+    "srv-close": "crash@srv-close    server journal=epoch+ft: ok — completed degraded (1 survive round(s), 2 redirect(s), 0b replayed by clients), image exact, fsck clean",
+}
 
 
 @pytest.fixture(scope="module")
@@ -48,41 +58,32 @@ def trace():
 
 @pytest.mark.parametrize("step", SERVER_STEPS)
 def test_server_survive_cell(step, trace):
-    cell = run_server_survive_cell(step, nclients=NCLIENTS, seed=SEED,
-                                   trace=trace)
+    cell = run_cell("server-survive", step, nclients=NCLIENTS, seed=SEED,
+                    trace=trace)
     assert not cell.aborted, f"{step}: failover run must complete"
     assert cell.ok, cell.summary()
     assert cell.fsck is not None and cell.fsck.clean
     assert cell.fsck.torn_bytes == 0 and cell.fsck.untracked_bytes == 0
+    assert cell.summary() == SUMMARIES[step]
 
 
 def test_survive_cell_is_deterministic(trace):
-    a = run_server_survive_cell("srv-apply", nclients=NCLIENTS, seed=SEED,
-                                trace=trace)
-    b = run_server_survive_cell("srv-apply", nclients=NCLIENTS, seed=SEED,
-                                trace=trace)
+    a = run_cell("server-survive", "srv-apply", nclients=NCLIENTS, seed=SEED,
+                 trace=trace)
+    b = run_cell("server-survive", "srv-apply", nclients=NCLIENTS, seed=SEED,
+                 trace=trace)
     assert a.ok and b.ok
     assert a.crash_after == b.crash_after
     assert a.detail == b.detail
 
 
 def test_failover_run_reports_redirects_and_adoption(trace):
-    from repro.faults import FaultPlan, FaultSpec
     from repro.ioserver import plan_for
 
-    config = IoServerConfig(failover=True)
-    placement = plan_for(trace, 6, 3, config)
-    victim = placement.delegates[-1]
-    plan = FaultPlan(FaultSpec(), SEED, scope="crash-count")
-    run_ioserver(trace, nranks=6, cores_per_node=3, config=config, faults=plan)
-    hits = plan.step_hits[("srv-apply", victim)]
-    armed = FaultPlan(
-        FaultSpec(crash_rank=victim, crash_step="srv-apply", crash_after=hits),
-        SEED, scope="crash",
-    )
-    result = run_ioserver(
-        trace, nranks=6, cores_per_node=3, config=config, faults=armed
-    )
+    placement = plan_for(trace, 6, 3, IoServerConfig(failover=True))
+    shot = aim("server-survive", "srv-apply", seed=SEED, trace=trace)
+    result, victim = shot.result, shot.victim
+    assert victim == placement.delegates[-1]
     assert result.aborted is None
     assert result.mpi.dead_ranks == {victim}
     assert result.image == expected_image(trace)
@@ -108,23 +109,8 @@ def test_failover_run_reports_redirects_and_adoption(trace):
 def test_failover_off_still_aborts(trace):
     # The control: same aimed crash without failover must abort (this is
     # the existing abort-and-recover contract, unchanged by this module).
-    from repro.faults import FaultPlan, FaultSpec
-    from repro.ioserver import plan_for
-
-    config = IoServerConfig()
-    placement = plan_for(trace, 6, 3, config)
-    victim = placement.delegates[-1]
-    plan = FaultPlan(FaultSpec(), SEED, scope="crash-count")
-    run_ioserver(trace, nranks=6, cores_per_node=3, config=config, faults=plan)
-    hits = plan.step_hits[("srv-apply", victim)]
-    armed = FaultPlan(
-        FaultSpec(crash_rank=victim, crash_step="srv-apply", crash_after=hits),
-        SEED, scope="crash",
-    )
-    result = run_ioserver(
-        trace, nranks=6, cores_per_node=3, config=config, faults=armed
-    )
-    assert result.aborted is not None
+    shot = aim("server-crash", "srv-apply", seed=SEED, trace=trace)
+    assert shot.result.aborted is not None
 
 
 def test_failover_noop_without_faults(trace):

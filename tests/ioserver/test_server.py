@@ -138,9 +138,9 @@ class TestAcceptance64Clients:
         assert result.fetched == direct.fetched
 
     def test_mid_epoch_delegate_crash_recovers_byte_identically(self):
-        from repro.crash.harness import run_server_crash_cell
+        from repro.crash.harness import run_cell
 
-        cell = run_server_crash_cell("srv-apply", nclients=8, seed=11)
+        cell = run_cell("server-crash", "srv-apply", nclients=8, seed=11)
         assert cell.aborted
         assert cell.ok, cell.summary()
 

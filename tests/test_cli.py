@@ -68,6 +68,31 @@ class TestCli:
         metrics = json.loads((out_dir / "bench.metrics.json").read_text())
         assert "tcio" in metrics and "counters" in metrics
 
+    @pytest.mark.parametrize(
+        "argv, steps",
+        [
+            (["faults", "--crash-at", "bogus"], "pre-deposit"),
+            (["faults", "--crash-at", "bogus", "--ft"], "pre-deposit"),
+            (["faults", "--crash-at", "srv-admit", "--ft"], "pre-deposit"),
+            (["ioserver", "--crash-step", "bogus"], "srv-admit"),
+            (["ioserver", "--crash-step", "bogus", "--failover"], "srv-admit"),
+            (["ioserver", "--crash-step", "mid-flush"], "srv-admit"),
+        ],
+    )
+    def test_unknown_crash_step_exits_2_before_simulating(
+        self, argv, steps, capsys, monkeypatch
+    ):
+        import repro.crash.harness as harness
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("a crash cell ran for an invalid step")
+
+        monkeypatch.setattr(harness, "aim", no_simulation)
+        assert main(argv) == 2
+        out = capsys.readouterr().out
+        assert out.startswith(f"unknown crash step {argv[2]!r} (choose from ")
+        assert f"'{steps}'" in out
+
     def test_trace_rejects_unknown_target(self):
         with pytest.raises(SystemExit):
             main(["trace", "fig999"])
